@@ -188,3 +188,25 @@ proptest! {
         }
     }
 }
+
+/// Inputs proptest once shrank failures to, pinned as plain tests: the
+/// vendored proptest shim never replays a regressions file. Both are
+/// display aliases (`brbs 0` prints as `brcs`, `ldd r0, Y+0` as `ld`).
+#[test]
+fn pinned_regressions_round_trip() {
+    for insn in [
+        Insn::Brbs { s: 0, k: 0 },
+        Insn::Ldd {
+            d: Reg::new(0),
+            idx: YZ::Y,
+            q: 0,
+        },
+    ] {
+        let words = encode(&insn).expect("valid operands must encode");
+        let (decoded, width) = decode(&words);
+        assert_eq!(decoded, insn);
+        assert_eq!(width as usize, words.len());
+        assert_eq!(width, insn.words());
+        assert!(!insn.to_string().is_empty());
+    }
+}

@@ -193,19 +193,18 @@ impl CampaignStore {
     }
 
     /// Load shard `index` from disk, or a fresh empty checkpoint if it has
-    /// never been flushed. The checkpoint's own fingerprint/range fields
-    /// are validated against the spec by the shard runner.
+    /// never been flushed ([`ShardCheckpoint::load_or`]: any other read
+    /// error is returned, never mistaken for a fresh shard). The
+    /// checkpoint's own fingerprint/range fields are validated against the
+    /// spec by the shard runner and the merge.
     pub fn load_shard(
         &self,
         cfg: &mavr_fleet::CampaignConfig,
         index: u64,
     ) -> Result<ShardCheckpoint, String> {
-        let path = self.shard_path(index);
-        match std::fs::read(&path) {
-            Ok(blob) => ShardCheckpoint::from_bytes(&blob)
-                .map_err(|e| format!("corrupt shard checkpoint {}: {e}", path.display())),
-            Err(_) => Ok(ShardCheckpoint::new(cfg, &self.plan(), index)),
-        }
+        ShardCheckpoint::load_or(&self.shard_path(index), || {
+            ShardCheckpoint::new(cfg, &self.plan(), index)
+        })
     }
 
     /// Persist a shard checkpoint durably (atomic replace, bounded
@@ -329,5 +328,22 @@ mod tests {
         // Reopen from disk sees the identical spec.
         assert_eq!(CampaignStore::open(&store.dir).unwrap().spec, spec);
         assert_eq!(CampaignStore::list(&root).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn unreadable_shard_is_an_error_not_a_fresh_shard() {
+        let root = tmp_root("unreadable");
+        let mut spec = CampaignSpec::named("beta");
+        spec.boards = 2;
+        let store = CampaignStore::create(&root, spec).unwrap();
+        let cfg = store.spec.to_config().unwrap();
+        // Never flushed: a fresh, empty shard.
+        assert!(store.load_shard(&cfg, 0).unwrap().outcomes.is_empty());
+        // A directory where the checkpoint should be (EISDIR on read) must
+        // surface as an error — otherwise the runner would restart the
+        // shard from zero and `status` would misreport it.
+        std::fs::create_dir(store.shard_path(0)).unwrap();
+        assert!(store.load_shard(&cfg, 0).is_err());
+        assert!(store.status().is_err());
     }
 }

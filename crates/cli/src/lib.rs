@@ -902,7 +902,8 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 /// `CampaignReport`. The same arguments always produce byte-identical
 /// `--json` output, regardless of `--threads`.
 ///
-/// With `--checkpoint FILE`, completed jobs are persisted to `FILE` and a
+/// With `--checkpoint FILE`, completed jobs are persisted to `FILE` (a
+/// one-shard checkpoint; any other file is refused, untouched) and a
 /// rerun with the same arguments resumes where the last run stopped
 /// (`--max-jobs` caps how many jobs one invocation flies); the stitched
 /// report is byte-identical to an uninterrupted run's.
@@ -1373,7 +1374,11 @@ fn write_metrics(
 /// Shared implementation of `fleet` and `chaos` — the two differ only in
 /// the default fault sweep.
 fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, CliError> {
-    use mavr_fleet::{parse_scenarios, run_campaign_with_metrics, CampaignConfig};
+    use mavr_fleet::{
+        merge_shard_checkpoints, parse_scenarios, run_shard_resume, CampaignConfig,
+        PreparedCampaign, ShardCheckpoint,
+    };
+    use std::io::Write;
 
     let defaults = CampaignConfig::default();
     let app = match args.positional.first() {
@@ -1427,99 +1432,99 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
     }
 
     let file_out = args.options.get("-o").or(args.options.get("--out"));
-    let (report, metrics) = if let Some(ckpt_path) = args.options.get("--checkpoint") {
-        use mavr_fleet::{run_campaign_resume, Checkpoint};
-        // Ctrl-C / SIGTERM trip the cooperative flag: workers finish the
-        // boards they hold and the checkpoint below is flushed valid.
-        cfg.interrupt = mavr_campaignd::signal::install();
-        let mut ckpt = match std::fs::read(ckpt_path) {
-            Ok(blob) => Checkpoint::from_bytes(&blob).map_err(fail)?,
-            Err(_) => Checkpoint::new(&cfg),
-        };
-        let budget = args
-            .options
-            .get("--max-jobs")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage("bad --max-jobs".into()))
+    let ckpt_path = args.options.get("--checkpoint");
+    let total = cfg.total_jobs() as u64;
+    // Every run is one shard spanning the whole job space.
+    let mut shard = match ckpt_path {
+        Some(path) => {
+            let shard = ShardCheckpoint::load_or(std::path::Path::new(path), || {
+                ShardCheckpoint::whole(&cfg)
             })
-            .transpose()?;
-        let done_before = ckpt.outcomes.len();
-        let result = run_campaign_resume(&cfg, &mut ckpt, budget).map_err(CliError::Failed)?;
+            .map_err(CliError::Failed)?;
+            if (shard.job_lo, shard.job_hi) != (0, total) {
+                return Err(CliError::Failed(format!(
+                    "{path} holds jobs {}..{}, not this campaign's 0..{total} \
+                     (campaign-service shards resume with `serve`)",
+                    shard.job_lo, shard.job_hi
+                )));
+            }
+            // Ctrl-C / SIGTERM trip the cooperative flag: workers finish the
+            // boards they hold and the checkpoint below is flushed valid.
+            cfg.interrupt = mavr_campaignd::signal::install();
+            shard
+        }
+        None => ShardCheckpoint::whole(&cfg),
+    };
+    let budget = args
+        .options
+        .get("--max-jobs")
+        .filter(|_| ckpt_path.is_some())
+        .map(|v| {
+            v.parse::<usize>()
+                .map_err(|_| CliError::Usage("bad --max-jobs".into()))
+        })
+        .transpose()?;
+    // `--jsonl -o FILE` without a checkpoint streams outcome lines to the
+    // file *as boards finish* (tail -f friendly); the final bytes are
+    // to_jsonl()'s, line for line.
+    let stream_to = file_out.filter(|_| ckpt_path.is_none() && args.flags.contains("jsonl"));
+    let mut sink = stream_to
+        .map(|path| std::fs::File::create(path).map(std::io::BufWriter::new))
+        .transpose()
+        .map_err(fail)?;
+    let mut stream_err = None;
+    let done_before = shard.outcomes.len();
+    let status = run_shard_resume(
+        &cfg,
+        &PreparedCampaign::new(&cfg),
+        &mut shard,
+        budget,
+        done_before,
+        |_, o| {
+            if let (Some(w), None) = (sink.as_mut(), &stream_err) {
+                stream_err = writeln!(w, "{}", o.to_json_line()).err();
+            }
+        },
+    )
+    .map_err(CliError::Failed)?;
+    if let Some(mut w) = sink {
+        w.flush().map_err(fail)?;
+    }
+    if let Some(e) = stream_err {
+        return Err(fail(e));
+    }
+    if let Some(path) = ckpt_path {
         // Write-to-temp + rename: a kill during the flush leaves the
         // previous checkpoint intact, never a torn file.
-        mavr_campaignd::write_file_atomic(std::path::Path::new(ckpt_path), &ckpt.to_bytes())
+        mavr_campaignd::write_file_atomic(std::path::Path::new(path), &shard.to_bytes())
             .map_err(CliError::Failed)?;
-        match result {
-            // A resumed campaign's metrics are a pure fold over its
-            // outcomes, so the stitched registry is byte-identical to an
-            // uninterrupted run's.
-            Some(report) => {
-                let metrics = report.metrics();
-                (report, metrics)
-            }
-            None => {
-                let total = cfg.total_jobs();
-                return Ok(format!(
-                    "campaign {}checkpointed to {ckpt_path}: {}/{total} jobs done \
-                     (+{} this run); rerun with the same arguments to continue\n",
-                    if cfg.interrupted() {
-                        "interrupted; "
-                    } else {
-                        ""
-                    },
-                    ckpt.outcomes.len(),
-                    ckpt.outcomes.len() - done_before,
-                ));
-            }
+        if !status.complete {
+            return Ok(format!(
+                "campaign {}checkpointed to {path}: {}/{total} jobs done \
+                 (+{} this run); rerun with the same arguments to continue\n",
+                if status.interrupted {
+                    "interrupted; "
+                } else {
+                    ""
+                },
+                shard.outcomes.len(),
+                status.ran,
+            ));
         }
-    } else if let (true, Some(path)) = (args.flags.contains("jsonl"), file_out) {
-        // Stream outcome lines to the file *as boards finish* (tail -f
-        // friendly); the final bytes are to_jsonl()'s, line for line.
-        use mavr_fleet::{
-            merge_shard_checkpoints, run_shard_resume, PreparedCampaign, ShardCheckpoint, ShardPlan,
-        };
-        let plan = ShardPlan::new(&cfg, cfg.total_jobs().max(1) as u64);
-        let mut shard = ShardCheckpoint::new(&cfg, &plan, 0);
-        let mut sink = std::io::BufWriter::new(std::fs::File::create(path).map_err(fail)?);
-        let mut stream_err = None;
-        run_shard_resume(
-            &cfg,
-            &PreparedCampaign::new(&cfg),
-            &mut shard,
-            None,
-            0,
-            |_, o| {
-                use std::io::Write;
-                if stream_err.is_none() {
-                    stream_err = writeln!(sink, "{}", o.to_json_line()).err();
-                }
-            },
-        )
-        .map_err(CliError::Failed)?;
-        use std::io::Write;
-        sink.flush().map_err(fail)?;
-        if let Some(e) = stream_err {
-            return Err(fail(e));
-        }
-        let (report, metrics) =
-            merge_shard_checkpoints(&cfg, vec![shard]).map_err(CliError::Failed)?;
-        let mut metrics_note = String::new();
-        if let Some(mpath) = args.options.get("--metrics-out") {
-            write_metrics(mpath, &metrics)?;
-            metrics_note = format!("wrote campaign metrics to {mpath}\n");
-        }
-        return Ok(format!(
-            "{}streamed campaign outcomes to {path}\n{metrics_note}",
-            report.render()
-        ));
-    } else {
-        run_campaign_with_metrics(&cfg)
-    };
+    }
+    // A resumed campaign's metrics are a pure fold over its outcomes, so
+    // the registry is byte-identical to an uninterrupted run's.
+    let (report, metrics) = merge_shard_checkpoints(&cfg, vec![shard]).map_err(CliError::Failed)?;
     let mut metrics_note = String::new();
     if let Some(mpath) = args.options.get("--metrics-out") {
         write_metrics(mpath, &metrics)?;
         metrics_note = format!("wrote campaign metrics to {mpath}\n");
+    }
+    if let Some(path) = stream_to {
+        return Ok(format!(
+            "{}streamed campaign outcomes to {path}\n{metrics_note}",
+            report.render()
+        ));
     }
     let rendered = if args.flags.contains("jsonl") {
         report.to_jsonl()
@@ -1528,7 +1533,7 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
     } else {
         report.render()
     };
-    if let Some(path) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(path) = file_out {
         // A file sink defaults to the machine-readable form.
         let payload = if args.flags.contains("jsonl") {
             report.to_jsonl()
@@ -1613,8 +1618,10 @@ COMMANDS:
         link pair; prints the attack-success / recovery-rate table (or the
         full report as JSON). Identical arguments give byte-identical
         JSON, whatever --threads is. --checkpoint persists completed jobs
-        so an interrupted campaign resumes (budgeted by --max-jobs) to the
-        byte-identical report. --progress streams live status lines to
+        as a one-shard checkpoint so an interrupted campaign resumes
+        (budgeted by --max-jobs) to the byte-identical report; checkpoint
+        files from before shard checkpoints, and campaign-service shards,
+        are refused. --progress streams live status lines to
         stderr; --metrics-out dumps the campaign metrics registry at exit
         (Prometheus text if FILE ends in .prom, JSON lines otherwise) —
         the dump is byte-identical whatever --threads is, and identical
@@ -2169,6 +2176,45 @@ halt:
         let mut a = common.to_vec();
         a.extend(["--seed", "9", "--checkpoint", &ckpt]);
         assert!(matches!(run(&s(&a)), Err(CliError::Failed(_))));
+    }
+
+    #[test]
+    fn fleet_checkpoint_refuses_foreign_checkpoints_untouched() {
+        use mavr_fleet::{CampaignConfig, Scenario, ShardCheckpoint, ShardPlan};
+        let cfg = CampaignConfig {
+            boards: 1,
+            scenarios: vec![Scenario::Benign, Scenario::V2Stealthy],
+            attack_cycles: 3_000_000,
+            ..CampaignConfig::default()
+        };
+        let refused = |name: &str, blob: &[u8]| -> String {
+            let path = tmp(name);
+            std::fs::write(&path, blob).unwrap();
+            let mut a = "fleet --boards 1 --scenario benign,stealthy --cycles 3000000 --checkpoint"
+                .split(' ')
+                .collect::<Vec<_>>();
+            a.push(&path);
+            let Err(CliError::Failed(msg)) = run(&s(&a)) else {
+                panic!("foreign checkpoint {name} was not refused");
+            };
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                blob,
+                "refused file rewritten"
+            );
+            msg
+        };
+        // A blob of the retired whole-campaign kind (byte 4, what older
+        // builds wrote): the kind byte alone refuses it.
+        let mut old = ShardCheckpoint::whole(&cfg).to_bytes();
+        old[10] = 4;
+        let msg = refused("fleet-ckpt-v4.bin", &old);
+        assert!(msg.contains("unknown snapshot kind 4"), "{msg}");
+        // A campaign-service shard of the same campaign (shard-0001.ckpt
+        // of a one-job-per-shard plan) covers only part of the matrix.
+        let shard = ShardCheckpoint::new(&cfg, &ShardPlan::new(&cfg, 1), 1);
+        let msg = refused("fleet-ckpt-shard1.bin", &shard.to_bytes());
+        assert!(msg.contains("holds jobs 1..2"), "{msg}");
     }
 
     #[test]

@@ -20,9 +20,15 @@
 //!   binary, not the board's current permutation);
 //! * aggregated into a [`CampaignReport`]: per-cell attack success rate,
 //!   recovery rate, time-to-recovery distribution, and link statistics
-//!   (sequence gaps, estimated packet loss, checksum garbage), with every
-//!   per-board [`GroundStation`] session adopted into one [`Router`] for
-//!   the fleet-wide operator view.
+//!   (sequence gaps, estimated packet loss, checksum garbage), plus the
+//!   fleet-wide ground-station totals, all folded from the per-board
+//!   outcomes by one [`CampaignAggregate`].
+//!
+//! **One execution path.** Every campaign runs as shards: a contiguous job
+//! range flown by [`run_shard_resume`] into a [`ShardCheckpoint`], and a
+//! set of complete shards folded by [`merge_shard_checkpoints`].
+//! [`run_campaign`] is the one-shard case of that path, and the campaign
+//! service drives many shards through it.
 //!
 //! **Determinism.** A campaign is a pure function of its
 //! [`CampaignConfig`]: board seeds and both channel seeds derive from the
@@ -40,7 +46,7 @@ pub mod report;
 pub mod scenario;
 pub mod shard;
 
-pub use checkpoint::{config_fingerprint, totals_from_outcomes, Checkpoint};
+pub use checkpoint::config_fingerprint;
 pub use mavlink_lite::RouterTotals;
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
@@ -49,22 +55,22 @@ pub use report::{
 };
 pub use scenario::{parse_scenarios, Scenario};
 pub use shard::{
-    merge_shard_checkpoints, run_shard_resume, ShardCheckpoint, ShardPlan, ShardRunStatus,
+    merge_shard_checkpoints, run_shard_resume, ShardCheckpoint, ShardMerge, ShardPlan,
+    ShardRunStatus,
 };
 
-use mavlink_lite::channel::{ChannelStats, LossConfig, LossyChannel};
-use mavlink_lite::{GroundStation, Router};
+use mavlink_lite::channel::{LossConfig, LossyChannel};
+use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{ChaosConfig, FaultPlan, MasterError, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
 use rop::attack::AttackContext;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use synth_firmware::{apps, build, layout, AppSpec, BuildOptions};
-use telemetry::metrics::MetricsRegistry;
 use telemetry::{kinds, Telemetry, Value};
 
 /// The 3-byte sensor write every attack scenario attempts (gyro state, as
@@ -335,36 +341,40 @@ impl Flyer {
     }
 }
 
-/// The fault plan a job flies under: inert (and entropy-free) at rate 0,
-/// seeded otherwise from a stream (top bit set, keyed by the full job
-/// index) disjoint from the board/channel streams (which sit at `3b`,
-/// `3b+1`, `3b+2` of the fault-independent base index).
-fn job_fault_plan(cfg: &CampaignConfig, job: Job) -> FaultPlan {
-    if job.fault > 0.0 {
-        FaultPlan::new(
-            derive_seed(cfg.stream_base(), (1u64 << 63) | job.job_index as u64),
-            ChaosConfig::uniform(job.fault),
-        )
-    } else {
-        FaultPlan::none()
+/// A board at `job`'s matrix coordinates with every observation zero: the
+/// outcome of a board that never flew (bricked on its first boot, or
+/// quarantined by the supervisor) and the base a flown board overwrites.
+fn unflown_outcome(cfg: &CampaignConfig, job: Job) -> BoardOutcome {
+    BoardOutcome {
+        scenario: job.scenario,
+        loss: job.loss,
+        fault: job.fault,
+        board_index: job.board_index,
+        board_seed: derive_seed(cfg.stream_base(), job.base_index as u64 * 3),
+        ..BoardOutcome::default()
     }
 }
 
-/// Run one board through its scenario. Fully deterministic given the
-/// config and job description.
+/// Provision one board and fly its scenario — the only place a campaign
+/// builds a board. Fully deterministic given the config and job
+/// description. Returns the board's ground-station session alongside the
+/// outcome; the outcome already carries the session's lifetime counters.
 ///
 /// A board whose recovery pipeline fails terminally (typed
 /// [`mavr_board::MasterError`] after every retry and the degraded
 /// fallback) does **not** abort the campaign: its flight ends where it
 /// bricked and the outcome records the fact.
-fn run_board(
+///
+/// `runaway` is the sabotage plan's hang: instead of its scenario the
+/// board flies straight past the cycle-budget watchdog.
+fn fly_board(
     cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
-    payloads: Option<&[Vec<u8>]>,
+    prepared: &PreparedCampaign,
     job: Job,
+    runaway: bool,
 ) -> (BoardOutcome, GroundStation) {
+    let base = unflown_outcome(cfg, job);
     let stream_base = cfg.stream_base();
-    let board_seed = derive_seed(stream_base, job.base_index as u64 * 3);
     let loss_cfg = LossConfig {
         drop: job.loss,
         corrupt: job.loss,
@@ -380,46 +390,34 @@ fn run_board(
         loss_cfg.with_seed(derive_seed(stream_base, job.base_index as u64 * 3 + 2)),
     );
     let mut gcs = GroundStation::with_capacity(cfg.gcs_capacity);
-    let chaos = job_fault_plan(cfg, job);
+    // The fault plan is inert (and entropy-free) at rate 0, seeded otherwise
+    // from a stream (top bit set, keyed by the full job index) disjoint from
+    // the board/channel streams at `3b..` of the fault-independent base.
+    let faults = if job.fault > 0.0 {
+        FaultPlan::new(
+            derive_seed(stream_base, (1u64 << 63) | job.job_index as u64),
+            ChaosConfig::uniform(job.fault),
+        )
+    } else {
+        FaultPlan::none()
+    };
 
     let Ok(mut board) = MavrBoard::provision_chaos(
-        image,
-        board_seed,
+        &prepared.image,
+        base.board_seed,
         RandomizationPolicy::default(),
         Telemetry::off(),
-        chaos,
+        faults,
     ) else {
         // The very first boot exhausted its retries (there is no
         // last-known-good image yet): dead on the bench.
-        let outcome = BoardOutcome {
-            scenario: job.scenario,
-            loss: job.loss,
-            fault: job.fault,
-            board_index: job.board_index,
-            board_seed,
-            attack_packets: 0,
-            attack_succeeded: false,
-            recoveries: 0,
-            reflash_retries: 0,
-            degraded_boots: 0,
-            bricked: true,
-            time_to_recovery: None,
-            final_cycle: 0,
-            heartbeats: 0,
-            packets: 0,
-            seq_gaps: 0,
-            packets_lost: 0,
-            bad_checksums: 0,
-            uav_bad_crc: 0,
-            sim_block_hits: 0,
-            sim_block_invalidations: 0,
-            sim_block_count: 0,
-            up_stats: up.stats,
-            down_stats: down.stats,
-            world: None,
-            failure: None,
-        };
-        return (outcome, gcs);
+        return (
+            BoardOutcome {
+                bricked: true,
+                ..base
+            },
+            gcs,
+        );
     };
     board.app.machine.set_block_fusion(cfg.block_fusion);
 
@@ -437,10 +435,16 @@ fn run_board(
         Flyer::Plain(Box::new(board))
     };
 
+    let payloads = prepared.payloads[job.scenario_idx].as_deref();
     let mut bricked = false;
     let mut injected_at = None;
     let mut attack_packets = 0;
     'flight: {
+        if runaway {
+            // Bricked mid-hang or not, it was never going to finish.
+            let _ = flyer.run(job_cycle_budget(cfg) + 1);
+            break 'flight;
+        }
         if flyer.run(cfg.warmup_cycles).is_err() {
             bricked = true;
             break 'flight;
@@ -497,11 +501,6 @@ fn run_board(
             .map(|c| c - at)
     });
     let outcome = BoardOutcome {
-        scenario: job.scenario,
-        loss: job.loss,
-        fault: job.fault,
-        board_index: job.board_index,
-        board_seed,
         attack_packets,
         attack_succeeded,
         recoveries: board.recoveries(),
@@ -522,7 +521,7 @@ fn run_board(
         up_stats: up.stats,
         down_stats: down.stats,
         world,
-        failure: None,
+        ..base
     };
     (outcome, gcs)
 }
@@ -586,61 +585,6 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
     Sabotage::Pass
 }
 
-/// A sabotaged non-terminating flight: the board keeps flying until the
-/// cycle-budget watchdog trips. This is the watchdog's proof that it
-/// actually bounds a runaway job — the loop's only exit is the budget.
-fn fly_until_watchdog(
-    cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
-    job: Job,
-) -> JobFailureKind {
-    let board_seed = derive_seed(cfg.stream_base(), job.base_index as u64 * 3);
-    let budget = job_cycle_budget(cfg);
-    let Ok(mut board) = MavrBoard::provision_chaos(
-        image,
-        board_seed,
-        RandomizationPolicy::default(),
-        Telemetry::off(),
-        FaultPlan::none(),
-    ) else {
-        return JobFailureKind::Timeout;
-    };
-    board.app.machine.set_block_fusion(cfg.block_fusion);
-    let chunk = (budget / 8).max(4096);
-    while board.app.machine.cycles() <= budget {
-        if board.run(chunk).is_err() {
-            // Bricked mid-hang: it is still never going to finish.
-            break;
-        }
-    }
-    JobFailureKind::Timeout
-}
-
-/// One supervised attempt at a job: apply the sabotage plan, fly, and
-/// check the watchdog. Panics (sabotaged or genuine) are caught one level
-/// up in [`run_board_supervised`].
-fn run_board_attempt(
-    cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
-    payloads: Option<&[Vec<u8>]>,
-    job: Job,
-    attempt: u32,
-) -> Result<(BoardOutcome, GroundStation), JobFailureKind> {
-    match sabotage_mode(cfg, job, attempt) {
-        Sabotage::Pass => {}
-        Sabotage::Panic => panic!(
-            "sabotage: poison job {} panicking on attempt {attempt}",
-            job.job_index
-        ),
-        Sabotage::Hang => return Err(fly_until_watchdog(cfg, image, job)),
-    }
-    let done = run_board(cfg, image, payloads, job);
-    if done.0.final_cycle > job_cycle_budget(cfg) {
-        return Err(JobFailureKind::Timeout);
-    }
-    Ok(done)
-}
-
 /// Deterministic exponential backoff before retry `attempt + 1`: base
 /// doubles per attempt, jitter is a seeded draw (slot 6 of the job's
 /// sabotage stream) — wall-clock only, never on the wire, so reports stay
@@ -661,18 +605,27 @@ fn job_backoff(cfg: &CampaignConfig, job: Job, attempt: u32) -> Duration {
 /// quarantined outcome that flows through the JSONL/checkpoint wire like
 /// any other result. A failing job therefore *never* aborts a shard and
 /// is never silently dropped.
-fn run_board_supervised(
-    cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
-    payloads: Option<&[Vec<u8>]>,
-    job: Job,
-) -> (BoardOutcome, GroundStation) {
+fn run_job(cfg: &CampaignConfig, prepared: &PreparedCampaign, job: Job) -> BoardOutcome {
     let mut last = JobFailureKind::Panic;
     for attempt in 0..JOB_RETRY_CAP {
-        match catch_unwind(AssertUnwindSafe(|| {
-            run_board_attempt(cfg, image, payloads, job, attempt)
-        })) {
-            Ok(Ok(done)) => return done,
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let runaway = match sabotage_mode(cfg, job, attempt) {
+                Sabotage::Pass => false,
+                Sabotage::Panic => panic!(
+                    "sabotage: poison job {} panicking on attempt {attempt}",
+                    job.job_index
+                ),
+                Sabotage::Hang => true,
+            };
+            let (outcome, _gcs) = fly_board(cfg, prepared, job, runaway);
+            if runaway || outcome.final_cycle > job_cycle_budget(cfg) {
+                Err(JobFailureKind::Timeout)
+            } else {
+                Ok(outcome)
+            }
+        }));
+        match result {
+            Ok(Ok(outcome)) => return outcome,
             Ok(Err(kind)) => last = kind,
             Err(_panic_payload) => last = JobFailureKind::Panic,
         }
@@ -694,94 +647,53 @@ fn run_board_supervised(
             ("attempts", Value::U64(u64::from(JOB_RETRY_CAP))),
         ]
     });
-    let failure = JobFailure {
-        kind: last,
-        attempts: JOB_RETRY_CAP,
-    };
-    (
-        quarantined_outcome(cfg, job, failure),
-        GroundStation::with_capacity(cfg.gcs_capacity),
-    )
-}
-
-/// The outcome of a quarantined job: real matrix coordinates (so cell
-/// accounting and checkpoint contiguity hold), zeroed observations, and
-/// the typed failure record.
-fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> BoardOutcome {
     BoardOutcome {
-        scenario: job.scenario,
-        loss: job.loss,
-        fault: job.fault,
-        board_index: job.board_index,
-        board_seed: derive_seed(cfg.stream_base(), job.base_index as u64 * 3),
-        attack_packets: 0,
-        attack_succeeded: false,
-        recoveries: 0,
-        reflash_retries: 0,
-        degraded_boots: 0,
-        bricked: false,
-        time_to_recovery: None,
-        final_cycle: 0,
-        heartbeats: 0,
-        packets: 0,
-        seq_gaps: 0,
-        packets_lost: 0,
-        bad_checksums: 0,
-        uav_bad_crc: 0,
-        sim_block_hits: 0,
-        sim_block_invalidations: 0,
-        sim_block_count: 0,
-        up_stats: ChannelStats::default(),
-        down_stats: ChannelStats::default(),
-        world: None,
-        failure: Some(failure),
+        failure: Some(JobFailure {
+            kind: last,
+            attempts: JOB_RETRY_CAP,
+        }),
+        ..unflown_outcome(cfg, job)
     }
 }
 
-/// The per-campaign artifacts every job shares: the (unprotected) firmware
-/// image and one canned payload set per scenario.
-struct Prepared {
+/// The per-campaign artifacts every job shares — the (unprotected)
+/// firmware image and one canned payload set per scenario — prepared once
+/// and shared across shard runs, so a service running thousands of shards
+/// doesn't rebuild the firmware and re-craft the payload set per shard.
+pub struct PreparedCampaign {
     image: avr_core::image::FirmwareImage,
     payloads: Vec<Option<Vec<Vec<u8>>>>,
 }
 
-/// Per-campaign artifacts, prepared once and shared across shard runs —
-/// an opaque handle so a service running thousands of shards doesn't
-/// rebuild the firmware and re-craft the payload set per shard.
-pub struct PreparedCampaign(Prepared);
-
 impl PreparedCampaign {
     /// Build the campaign's firmware image and per-scenario payload set.
     pub fn new(cfg: &CampaignConfig) -> Self {
-        PreparedCampaign(prepare(cfg))
-    }
-}
-
-fn prepare(cfg: &CampaignConfig) -> Prepared {
-    let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
-    let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
-    // One payload set per scenario, crafted against the unprotected image.
-    let payloads: Vec<Option<Vec<Vec<u8>>>> = cfg
-        .scenarios
-        .iter()
-        .map(|s| {
-            s.attack_kind().map(|k| {
-                ctx.packets(k, &[(ATTACK_TARGET, ATTACK_VALUES)])
-                    .expect("payload builds")
+        let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
+        let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
+        // One payload set per scenario, crafted against the unprotected image.
+        let payloads = cfg
+            .scenarios
+            .iter()
+            .map(|s| {
+                s.attack_kind().map(|k| {
+                    ctx.packets(k, &[(ATTACK_TARGET, ATTACK_VALUES)])
+                        .expect("payload builds")
+                })
             })
-        })
-        .collect();
-    Prepared {
-        image: fw.image,
-        payloads,
+            .collect();
+        PreparedCampaign {
+            image: fw.image,
+            payloads,
+        }
     }
 }
 
 /// The job at position `index` of the campaign matrix, computed directly
 /// from the index arithmetic (matrix order is scenario-major: scenario,
 /// then loss, then fault, then board). This is the *definition* of the job
-/// order — [`build_jobs`] materializes it, shard runners evaluate it
-/// lazily so a million-job campaign never allocates a million-entry list.
+/// order, and job indices are positions in it; seeds derive from them.
+/// Shard runners evaluate it lazily, so a million-job campaign never
+/// allocates a million-entry list.
 fn job_at(cfg: &CampaignConfig, index: usize) -> Job {
     let per_fault = cfg.boards;
     let per_loss = cfg.fault_levels.len() * per_fault;
@@ -801,115 +713,91 @@ fn job_at(cfg: &CampaignConfig, index: usize) -> Job {
     }
 }
 
-/// The campaign's full job list, in matrix (scenario-major) order. Job
-/// indices are positions in this list; seeds derive from them, so the list
-/// must be rebuilt identically on resume.
-fn build_jobs(cfg: &CampaignConfig) -> Vec<Job> {
-    (0..cfg.total_jobs()).map(|i| job_at(cfg, i)).collect()
-}
-
-/// Wall-clock-throttled `campaign.progress` heartbeat emitter, shared by
-/// every worker thread. Heartbeats are the **only** place wall-clock
-/// numbers (elapsed time, boards·cycles/sec) appear — they ride the
-/// telemetry bus, never the report or the metrics registry, so results
-/// stay byte-identical across machines and runs.
+/// Wall-clock-throttled `campaign.progress` heartbeat emitter, fed in job
+/// order on the caller's thread as outcomes stream out of the worker pool.
+/// Heartbeats are the **only** place wall-clock numbers (elapsed time,
+/// boards·cycles/sec) appear — they ride the telemetry bus, never the
+/// report or the metrics registry, so results stay byte-identical across
+/// machines and runs.
 struct ProgressMeter<'a> {
-    telemetry: &'a Telemetry,
+    cfg: &'a CampaignConfig,
     /// Jobs completed before this call (resume picks up mid-campaign).
     done_offset: usize,
-    /// Full campaign matrix size, not just this call's batch.
-    grand_total: usize,
-    interval: Duration,
     started: Instant,
-    done: AtomicUsize,
-    cycles: AtomicU64,
-    attacks: AtomicUsize,
-    recoveries: AtomicUsize,
-    bricked: AtomicUsize,
-    last_emit: Mutex<Instant>,
+    last_emit: Instant,
+    done: usize,
+    cycles: u64,
+    attacks: usize,
+    recoveries: usize,
+    bricked: usize,
 }
 
 impl<'a> ProgressMeter<'a> {
-    fn new(cfg: &'a CampaignConfig, done_offset: usize, grand_total: usize) -> Self {
+    fn new(cfg: &'a CampaignConfig, done_offset: usize) -> Self {
         let now = Instant::now();
         ProgressMeter {
-            telemetry: &cfg.telemetry,
+            cfg,
             done_offset,
-            grand_total,
-            interval: Duration::from_millis(cfg.progress_interval_ms),
             started: now,
-            done: AtomicUsize::new(0),
-            cycles: AtomicU64::new(0),
-            attacks: AtomicUsize::new(0),
-            recoveries: AtomicUsize::new(0),
-            bricked: AtomicUsize::new(0),
-            last_emit: Mutex::new(now),
+            last_emit: now,
+            done: 0,
+            cycles: 0,
+            attacks: 0,
+            recoveries: 0,
+            bricked: 0,
         }
     }
 
     /// Account one finished job and emit a heartbeat if the throttle
     /// window has elapsed.
-    fn observe(&self, o: &BoardOutcome) {
-        self.done.fetch_add(1, Ordering::Relaxed);
-        self.cycles.fetch_add(o.final_cycle, Ordering::Relaxed);
-        if o.attack_succeeded {
-            self.attacks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.recoveries.fetch_add(o.recoveries, Ordering::Relaxed);
-        if o.bricked {
-            self.bricked.fetch_add(1, Ordering::Relaxed);
-        }
+    fn observe(&mut self, o: &BoardOutcome) {
+        self.done += 1;
+        self.cycles += o.final_cycle;
+        self.attacks += usize::from(o.attack_succeeded);
+        self.recoveries += o.recoveries;
+        self.bricked += usize::from(o.bricked);
         self.emit(false);
     }
 
-    fn emit(&self, force: bool) {
-        if !self.telemetry.is_active() {
+    fn emit(&mut self, force: bool) {
+        let telemetry = &self.cfg.telemetry;
+        let interval = Duration::from_millis(self.cfg.progress_interval_ms);
+        let now = Instant::now();
+        if !telemetry.is_active() || !force && now.duration_since(self.last_emit) < interval {
             return;
         }
-        let now = Instant::now();
-        {
-            let mut last = self.last_emit.lock().expect("no poisoned meter");
-            if !force && now.duration_since(*last) < self.interval {
-                return;
-            }
-            *last = now;
-        }
-        let cycles = self.cycles.load(Ordering::Relaxed);
+        self.last_emit = now;
         let elapsed = now.duration_since(self.started).as_secs_f64();
         let rate = if elapsed > 0.0 {
-            cycles as f64 / elapsed
+            self.cycles as f64 / elapsed
         } else {
             0.0
         };
-        let done_here = self.done.load(Ordering::Relaxed);
-        let done = (self.done_offset + done_here) as u64;
+        let done = self.done_offset + self.done;
         // Jobs/sec and the ETA derive from *this run's* throughput: a
         // resume that already holds half the campaign shouldn't claim the
         // historical average of a machine it may not be running on.
         let jobs_per_sec = if elapsed > 0.0 {
-            done_here as f64 / elapsed
+            self.done as f64 / elapsed
         } else {
             0.0
         };
-        let remaining = self.grand_total.saturating_sub(done as usize);
+        // The full campaign matrix, not just this call's batch.
+        let total = self.cfg.total_jobs();
+        let remaining = total.saturating_sub(done);
         let eta_s = if jobs_per_sec > 0.0 {
             remaining as f64 / jobs_per_sec
         } else {
             0.0
         };
-        let (attacks, recoveries, bricked) = (
-            self.attacks.load(Ordering::Relaxed) as u64,
-            self.recoveries.load(Ordering::Relaxed) as u64,
-            self.bricked.load(Ordering::Relaxed) as u64,
-        );
-        self.telemetry.emit(kinds::CAMPAIGN_PROGRESS, None, || {
+        telemetry.emit(kinds::CAMPAIGN_PROGRESS, None, || {
             vec![
-                ("jobs_done", Value::U64(done)),
-                ("jobs_total", Value::U64(self.grand_total as u64)),
-                ("sim_cycles", Value::U64(cycles)),
-                ("attack_successes", Value::U64(attacks)),
-                ("recoveries", Value::U64(recoveries)),
-                ("bricked", Value::U64(bricked)),
+                ("jobs_done", Value::U64(done as u64)),
+                ("jobs_total", Value::U64(total as u64)),
+                ("sim_cycles", Value::U64(self.cycles)),
+                ("attack_successes", Value::U64(self.attacks as u64)),
+                ("recoveries", Value::U64(self.recoveries as u64)),
+                ("bricked", Value::U64(self.bricked as u64)),
                 ("elapsed_ms", Value::F64(elapsed * 1000.0)),
                 ("boards_cycles_per_sec", Value::F64(rate)),
                 ("jobs_per_sec", Value::F64(jobs_per_sec)),
@@ -917,13 +805,6 @@ impl<'a> ProgressMeter<'a> {
             ]
         });
     }
-}
-
-/// Completed-but-not-yet-emitted results, keyed by position in the job
-/// batch. Workers insert out of order; the coordinator drains in order.
-struct Reorder {
-    ready: BTreeMap<usize, (BoardOutcome, GroundStation)>,
-    workers_live: usize,
 }
 
 /// Run `jobs` (any subset of the campaign matrix) over the worker pool,
@@ -937,17 +818,13 @@ struct Reorder {
 /// — which is exactly what makes a post-interrupt checkpoint valid.
 ///
 /// Returns the number of jobs that ran (`< jobs.len()` only when
-/// interrupted) and the merged per-worker metrics shards (each worker
-/// folds its outcomes into a private [`MetricsRegistry`]; shard merge is
-/// order-insensitive, so the merged registry is identical at any thread
-/// count).
+/// interrupted).
 fn execute_jobs_streaming(
     cfg: &CampaignConfig,
-    prepared: &Prepared,
+    prepared: &PreparedCampaign,
     jobs: &[Job],
-    meter: &ProgressMeter<'_>,
-    mut sink: impl FnMut(usize, BoardOutcome, GroundStation),
-) -> (usize, MetricsRegistry) {
+    mut sink: impl FnMut(usize, BoardOutcome),
+) -> usize {
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -956,100 +833,38 @@ fn execute_jobs_streaming(
     .clamp(1, jobs.len().max(1));
 
     let next = AtomicUsize::new(0);
-    let reorder = Mutex::new(Reorder {
-        ready: BTreeMap::new(),
-        workers_live: threads,
-    });
-    let ready_cond = Condvar::new();
-    let shards: Mutex<Vec<MetricsRegistry>> = Mutex::new(Vec::with_capacity(threads));
+    let (done_tx, done_rx) = mpsc::channel();
     let mut emitted = 0usize;
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                let mut shard = MetricsRegistry::new();
-                loop {
-                    if cfg.interrupted() {
-                        break;
-                    }
+            let (done_tx, next) = (done_tx.clone(), &next);
+            s.spawn(move || {
+                while !cfg.interrupted() {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i).copied() else {
-                        break;
-                    };
+                    let Some(&job) = jobs.get(i) else { break };
                     // The job's fault domain: panics, hangs and retries
                     // all stay inside this call — a poison job yields a
                     // quarantined outcome, never a dead worker.
-                    let result = run_board_supervised(
-                        cfg,
-                        &prepared.image,
-                        prepared.payloads[job.scenario_idx].as_deref(),
-                        job,
-                    );
-                    fold_outcome_metrics(&mut shard, &result.0);
-                    meter.observe(&result.0);
-                    reorder
-                        .lock()
-                        .expect("no poisoned queue")
-                        .ready
-                        .insert(i, result);
-                    ready_cond.notify_all();
+                    if done_tx.send((i, run_job(cfg, prepared, job))).is_err() {
+                        break;
+                    }
                 }
-                let mut q = reorder.lock().expect("no poisoned queue");
-                q.workers_live -= 1;
-                drop(q);
-                ready_cond.notify_all();
-                shards.lock().expect("no poisoned shard list").push(shard);
             });
         }
+        drop(done_tx);
         // In-order drain, on the caller's thread: emit result `k` only
-        // after `0..k` have been emitted. The sink runs with the queue
-        // unlocked so slow sinks (disk writes) only back-pressure, never
-        // block, the workers.
-        loop {
-            let item = {
-                let mut q = reorder.lock().expect("no poisoned queue");
-                loop {
-                    if let Some(r) = q.ready.remove(&emitted) {
-                        break Some(r);
-                    }
-                    if q.workers_live == 0 {
-                        // All claimed jobs are inserted once every worker
-                        // exits; nothing at `emitted` means nothing left.
-                        break None;
-                    }
-                    q = ready_cond.wait(q).expect("no poisoned queue");
-                }
-            };
-            let Some((outcome, gcs)) = item else { break };
-            sink(emitted, outcome, gcs);
-            emitted += 1;
+        // after `0..k` have been emitted. The channel closes once every
+        // worker exits, and every claimed position was sent by then.
+        let mut ready = BTreeMap::new();
+        for (i, outcome) in done_rx {
+            ready.insert(i, outcome);
+            while let Some(outcome) = ready.remove(&emitted) {
+                sink(emitted, outcome);
+                emitted += 1;
+            }
         }
     });
-    meter.emit(true);
-    // Shard arrival order depends on thread scheduling; the merge does
-    // not — it is associative and commutative by construction.
-    let mut metrics = MetricsRegistry::new();
-    for shard in shards.into_inner().expect("workers done") {
-        metrics.merge(&shard);
-    }
-    (emitted, metrics)
-}
-
-/// [`execute_jobs_streaming`] with a collecting sink: results come back
-/// positionally aligned with `jobs`. The O(jobs)-memory path, used by the
-/// all-in-one [`run_campaign`] (whose report holds every outcome anyway).
-fn execute_jobs(
-    cfg: &CampaignConfig,
-    prepared: &Prepared,
-    jobs: &[Job],
-    meter: &ProgressMeter<'_>,
-) -> (Vec<(BoardOutcome, GroundStation)>, MetricsRegistry) {
-    let mut results = Vec::with_capacity(jobs.len());
-    let (emitted, metrics) =
-        execute_jobs_streaming(cfg, prepared, jobs, meter, |_, outcome, gcs| {
-            results.push((outcome, gcs));
-        });
-    debug_assert_eq!(emitted, results.len());
-    (results, metrics)
+    emitted
 }
 
 /// The report-header echo of a config — what `"config"` serializes to in
@@ -1071,129 +886,58 @@ pub fn summarize(cfg: &CampaignConfig) -> CampaignSummary {
 
 /// Run the full campaign matrix: `scenarios × loss_levels × fault_levels
 /// × boards` jobs, distributed over a worker pool, stitched back in job
-/// order.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_with_metrics(cfg).0
-}
-
-/// [`run_campaign`], also returning the campaign metrics registry the
-/// worker shards merged into. The registry is byte-identical
-/// (`to_prometheus`/`to_jsonl`) to [`CampaignReport::metrics`] — the
-/// shard path just avoids a second pass over the outcomes — and contains
-/// no wall-clock data, so two same-seed runs' expositions diff clean.
-pub fn run_campaign_with_metrics(cfg: &CampaignConfig) -> (CampaignReport, MetricsRegistry) {
-    let prepared = prepare(cfg);
-    let jobs = build_jobs(cfg);
-    let meter = ProgressMeter::new(cfg, 0, jobs.len());
-    let (results, mut metrics) = execute_jobs(cfg, &prepared, &jobs, &meter);
-
-    let mut router = Router::with_capacity(cfg.gcs_capacity);
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (i, (outcome, gcs)) in results.into_iter().enumerate() {
-        router.adopt(i as u64, gcs);
-        outcomes.push(outcome);
-    }
-    let fleet = router.totals();
-    // The checkpoint/resume path rebuilds fleet totals from outcomes alone;
-    // resumed reports are byte-identical only because this fold agrees with
-    // the router.
-    debug_assert_eq!(fleet, totals_from_outcomes(&outcomes));
-    metrics.set_gauge("campaign_jobs_total", &[], outcomes.len() as f64);
-    // Same contract for metrics: the shard-merged registry must agree with
-    // the pure fold over the outcome list, or resumed campaigns would
-    // expose different bytes.
-    debug_assert_eq!(metrics, registry_from_outcomes(&outcomes));
-
-    let report = CampaignReport::assemble(
-        summarize(cfg),
-        fleet,
-        outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    );
-    (report, metrics)
-}
-
-/// Continue a campaign from `checkpoint`, running at most `budget_jobs`
-/// of the still-pending jobs (`None` = all of them). Newly completed
-/// outcomes are folded into `checkpoint` (persist it with
-/// [`Checkpoint::to_bytes`] between calls).
+/// order. This is the one-shard case of the sharded path — one
+/// [`ShardCheckpoint`] spanning the job space, flown by
+/// [`run_shard_resume`] and folded by [`merge_shard_checkpoints`] — so
+/// its report is byte-identical to any sharded or resumed run of the same
+/// config. [`CampaignReport::metrics`] gives the campaign's registry.
 ///
-/// Returns `Ok(None)` while the campaign is still incomplete, and
-/// `Ok(Some(report))` once every job has run — a report byte-identical
-/// (`CampaignReport::to_json`) to an uninterrupted [`run_campaign`] at any
-/// thread count. Fails if `checkpoint` fingerprints a different campaign.
-pub fn run_campaign_resume(
-    cfg: &CampaignConfig,
-    checkpoint: &mut Checkpoint,
-    budget_jobs: Option<usize>,
-) -> Result<Option<CampaignReport>, String> {
-    if !checkpoint.matches(cfg) {
-        return Err(format!(
-            "checkpoint fingerprint {:#018x} does not match this campaign ({:#018x}) — \
-             refusing to mix results from different configurations",
-            checkpoint.fingerprint,
-            config_fingerprint(cfg)
-        ));
-    }
-    let jobs = build_jobs(cfg);
-    let done_before = checkpoint.outcomes.len();
-    if done_before > 0 {
-        let pending = jobs.len() - done_before;
-        cfg.telemetry.emit(kinds::CHECKPOINT_RESUMED, None, || {
-            vec![
-                ("jobs_done", Value::U64(done_before as u64)),
-                ("jobs_pending", Value::U64(pending as u64)),
-            ]
-        });
-    }
-    let mut pending: Vec<Job> = jobs
-        .iter()
-        .filter(|j| !checkpoint.outcomes.contains_key(&(j.job_index as u64)))
-        .copied()
-        .collect();
-    if let Some(budget) = budget_jobs {
-        pending.truncate(budget);
-    }
-    let prepared = prepare(cfg);
-    let meter = ProgressMeter::new(cfg, done_before, jobs.len());
-    // Stream each outcome into the checkpoint as its prefix completes, so
-    // an interrupt mid-batch leaves the checkpoint holding exactly the
-    // jobs that ran — nothing in flight is lost, nothing partial is kept.
-    let (ran, _shard_metrics) =
-        execute_jobs_streaming(cfg, &prepared, &pending, &meter, |i, outcome, _gcs| {
-            checkpoint.insert_outcome(pending[i].job_index as u64, outcome);
-        });
-    if cfg.interrupted() {
-        cfg.telemetry.emit(kinds::CAMPAIGN_INTERRUPTED, None, || {
-            vec![
-                ("jobs_done", Value::U64(checkpoint.outcomes.len() as u64)),
-                ("jobs_run_now", Value::U64(ran as u64)),
-                ("jobs_total", Value::U64(jobs.len() as u64)),
-            ]
-        });
-    }
-    if checkpoint.outcomes.len() < jobs.len() {
-        return Ok(None);
-    }
-    // Complete: outcomes iterate in job-index order (BTreeMap), matching
-    // the uninterrupted run's stitching order.
-    let outcomes: Vec<BoardOutcome> = checkpoint.outcomes.values().cloned().collect();
-    let fleet = totals_from_outcomes(&outcomes);
-    Ok(Some(CampaignReport::assemble(
-        summarize(cfg),
-        fleet,
-        outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    )))
+/// # Panics
+///
+/// If `cfg.interrupt` trips mid-run: an interrupted campaign has no
+/// report. Callers that can be interrupted keep the shard checkpoint
+/// themselves and resume it.
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+    let mut shard = ShardCheckpoint::whole(cfg);
+    run_shard_resume(
+        cfg,
+        &PreparedCampaign::new(cfg),
+        &mut shard,
+        None,
+        0,
+        |_, _| {},
+    )
+    .expect("a fresh whole-campaign shard matches its own campaign");
+    merge_shard_checkpoints(cfg, vec![shard])
+        .expect("an uninterrupted whole-campaign shard is complete")
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resume `shard` on a freshly prepared campaign (a new "process").
+    fn resume(
+        cfg: &CampaignConfig,
+        shard: &mut ShardCheckpoint,
+        budget: Option<usize>,
+    ) -> Result<ShardRunStatus, String> {
+        let done = shard.outcomes.len();
+        run_shard_resume(
+            cfg,
+            &PreparedCampaign::new(cfg),
+            shard,
+            budget,
+            done,
+            |_, _| {},
+        )
+    }
+
+    /// The report of a complete whole-campaign shard.
+    fn merged(cfg: &CampaignConfig, shard: ShardCheckpoint) -> CampaignReport {
+        merge_shard_checkpoints(cfg, vec![shard]).unwrap().0
+    }
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig {
@@ -1315,13 +1059,14 @@ mod tests {
             threads: 1,
             ..small_cfg()
         };
-        let (report, metrics) = run_campaign_with_metrics(&cfg);
-        let (wide, wide_metrics) = run_campaign_with_metrics(&CampaignConfig {
+        let report = run_campaign(&cfg);
+        let wide = run_campaign(&CampaignConfig {
             threads: 4,
             ..cfg.clone()
         });
         assert_eq!(report.to_json(), wide.to_json());
-        assert_eq!(metrics.to_prometheus(), wide_metrics.to_prometheus());
+        let metrics = report.metrics();
+        assert_eq!(metrics.to_prometheus(), wide.metrics().to_prometheus());
 
         assert_eq!(report.outcomes.len(), cfg.total_jobs());
         for o in &report.outcomes {
@@ -1410,11 +1155,12 @@ mod tests {
 
     #[test]
     fn fusion_toggle_is_invisible_in_reports_but_visible_in_metrics() {
-        let (fused, fused_metrics) = run_campaign_with_metrics(&small_cfg());
-        let (plain, plain_metrics) = run_campaign_with_metrics(&CampaignConfig {
+        let fused = run_campaign(&small_cfg());
+        let plain = run_campaign(&CampaignConfig {
             block_fusion: false,
             ..small_cfg()
         });
+        let (fused_metrics, plain_metrics) = (fused.metrics(), plain.metrics());
         // The engine toggle must be architecturally invisible: identical
         // report JSON and JSONL, byte for byte.
         assert_eq!(fused.to_json(), plain.to_json());
@@ -1435,15 +1181,13 @@ mod tests {
     #[test]
     fn checkpointed_campaign_is_byte_identical_to_uninterrupted() {
         let cfg = small_cfg();
-        let (uninterrupted, uninterrupted_metrics) = run_campaign_with_metrics(&cfg);
+        let uninterrupted = run_campaign(&cfg);
 
         // Kill after one job, serialize the checkpoint, resume in a second
-        // "process" (fresh Checkpoint from bytes) with a different thread
+        // "process" (fresh checkpoint from bytes) with a different thread
         // count and telemetry attached.
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(1))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole(&cfg);
+        assert!(!resume(&cfg, &mut ckpt, Some(1)).unwrap().complete);
         assert_eq!(ckpt.outcomes.len(), 1);
         let blob = ckpt.to_bytes();
 
@@ -1452,25 +1196,22 @@ mod tests {
             telemetry: Telemetry::new(telemetry::RingRecorder::new(8)),
             ..small_cfg()
         };
-        let mut ckpt2 = Checkpoint::from_bytes(&blob).unwrap();
-        let report = run_campaign_resume(&resumed_cfg, &mut ckpt2, None)
-            .unwrap()
-            .expect("all remaining jobs fit in an unbounded budget");
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&blob).unwrap();
+        assert!(
+            resume(&resumed_cfg, &mut ckpt2, None).unwrap().complete,
+            "all remaining jobs fit in an unbounded budget"
+        );
+        let report = merged(&resumed_cfg, ckpt2);
         assert_eq!(report.to_json(), uninterrupted.to_json());
         // Metrics survive the kill/serialize/resume cycle byte-identically
-        // too: the registry is a pure fold over outcomes, and the wire
-        // format carried the latency sketch, not a vector.
+        // too: the registry is a pure fold over outcomes.
         assert_eq!(
             report.metrics().to_prometheus(),
-            uninterrupted_metrics.to_prometheus()
+            uninterrupted.metrics().to_prometheus()
         );
         assert_eq!(
             report.metrics().to_jsonl(),
-            uninterrupted_metrics.to_jsonl()
-        );
-        assert_eq!(
-            ckpt2.latency_sketch, uninterrupted.cells[1].latency_sketch,
-            "checkpoint wire sketch must equal the stealthy cell's sketch"
+            uninterrupted.metrics().to_jsonl()
         );
         resumed_cfg
             .telemetry
@@ -1484,9 +1225,36 @@ mod tests {
             seed: 0x9999,
             ..small_cfg()
         };
-        assert!(
-            run_campaign_resume(&other, &mut Checkpoint::from_bytes(&blob).unwrap(), None).is_err()
-        );
+        assert!(resume(
+            &other,
+            &mut ShardCheckpoint::from_bytes(&blob).unwrap(),
+            None
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn aggregate_fleet_totals_match_the_router() {
+        // Fleet totals fold from outcomes, not live sessions: they must
+        // equal a `Router` adopting every session, here over a lossy link.
+        let cfg = CampaignConfig {
+            boards: 2,
+            scenarios: vec![Scenario::Benign],
+            loss_levels: vec![0.02],
+            attack_cycles: 2_000_000,
+            ..CampaignConfig::default()
+        };
+        let prepared = PreparedCampaign::new(&cfg);
+        let mut router = mavlink_lite::Router::with_capacity(cfg.gcs_capacity);
+        let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
+        for index in 0..cfg.total_jobs() {
+            let (outcome, gcs) = fly_board(&cfg, &prepared, job_at(&cfg, index), false);
+            router.adopt(index as u64, gcs);
+            agg.fold(&outcome).unwrap();
+        }
+        let (_, fleet, _) = agg.finish();
+        assert!(fleet.seq_gaps > 0, "a 2% lossy link shows gaps: {fleet:?}");
+        assert_eq!(fleet, router.totals());
     }
 
     fn physics_cfg() -> CampaignConfig {
@@ -1548,7 +1316,8 @@ mod tests {
         // The physics axis must be invisible when off: no impact columns
         // on outcome lines, cells, the summary header, or the metrics
         // plane — the report is the pre-physics engine's, byte for byte.
-        let (report, metrics) = run_campaign_with_metrics(&small_cfg());
+        let report = run_campaign(&small_cfg());
+        let metrics = report.metrics();
         for text in [report.to_json(), report.to_jsonl(), report.render()] {
             assert!(!text.contains("peak_alt_err_m"));
             assert!(!text.contains("physics"));
@@ -1562,23 +1331,16 @@ mod tests {
         let cfg = physics_cfg();
         let uninterrupted = run_campaign(&cfg);
 
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(1))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole(&cfg);
+        assert!(!resume(&cfg, &mut ckpt, Some(1)).unwrap().complete);
         let blob = ckpt.to_bytes();
-        let mut ckpt2 = Checkpoint::from_bytes(&blob).unwrap();
-        let report = run_campaign_resume(
-            &CampaignConfig {
-                threads: 4,
-                ..cfg.clone()
-            },
-            &mut ckpt2,
-            None,
-        )
-        .unwrap()
-        .expect("all remaining jobs fit in an unbounded budget");
-        assert_eq!(report.to_json(), uninterrupted.to_json());
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&blob).unwrap();
+        let wide = CampaignConfig {
+            threads: 4,
+            ..cfg.clone()
+        };
+        assert!(resume(&wide, &mut ckpt2, None).unwrap().complete);
+        assert_eq!(merged(&cfg, ckpt2).to_json(), uninterrupted.to_json());
 
         // A bare (physics-off) config must refuse a physics checkpoint:
         // the two result families never mix.
@@ -1586,9 +1348,12 @@ mod tests {
             physics: false,
             ..cfg.clone()
         };
-        assert!(
-            run_campaign_resume(&bare, &mut Checkpoint::from_bytes(&blob).unwrap(), None).is_err()
-        );
+        assert!(resume(
+            &bare,
+            &mut ShardCheckpoint::from_bytes(&blob).unwrap(),
+            None
+        )
+        .is_err());
     }
 
     #[test]
@@ -1673,11 +1438,10 @@ mod tests {
             }),
             ..icfg
         };
-        let mut ckpt = Checkpoint::new(&icfg);
+        let mut ckpt = ShardCheckpoint::whole(&icfg);
+        let status = resume(&icfg, &mut ckpt, None).unwrap();
         assert!(
-            run_campaign_resume(&icfg, &mut ckpt, None)
-                .unwrap()
-                .is_none(),
+            status.interrupted && !status.complete,
             "an interrupted campaign reports incomplete, never a partial report"
         );
         let ran = ckpt.outcomes.len();
@@ -1685,6 +1449,9 @@ mod tests {
             (1..4).contains(&ran),
             "the tripwire stops the campaign mid-flight, saw {ran}/4"
         );
+        assert_eq!(status.ran, ran);
+        // An incomplete checkpoint never merges into a partial report.
+        assert!(merge_shard_checkpoints(&icfg, vec![ckpt.clone()]).is_err());
         // Workers claim batch positions from a shared counter and finish
         // what they claimed, so the checkpoint holds a contiguous prefix —
         // exactly the shape a resume expects.
@@ -1695,20 +1462,19 @@ mod tests {
         // resume in a fresh "process" — `small_cfg()` carries a fresh,
         // untripped interrupt flag (`cfg`'s Arc is shared with the
         // tripwire and stays set).
-        let mut ckpt2 = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let report = run_campaign_resume(&small_cfg(), &mut ckpt2, None)
-            .unwrap()
-            .expect("resume completes the matrix");
-        assert_eq!(report.to_json(), uninterrupted.to_json());
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert!(resume(&small_cfg(), &mut ckpt2, None).unwrap().complete);
+        assert_eq!(
+            merged(&small_cfg(), ckpt2).to_json(),
+            uninterrupted.to_json()
+        );
 
         // A flag already set at entry stops the run before any job starts,
         // and the (empty) checkpoint is still resumable.
         let pre = small_cfg();
         pre.interrupt.store(true, Ordering::Relaxed);
-        let mut empty = Checkpoint::new(&pre);
-        assert!(run_campaign_resume(&pre, &mut empty, None)
-            .unwrap()
-            .is_none());
+        let mut empty = ShardCheckpoint::whole(&pre);
+        assert_eq!(resume(&pre, &mut empty, None).unwrap().ran, 0);
         assert_eq!(empty.outcomes.len(), 0);
     }
 
@@ -1718,10 +1484,8 @@ mod tests {
         // report `done_before + 1` jobs done, not restart from 1 — and
         // every heartbeat carries this-run throughput and an ETA.
         let cfg = small_cfg();
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(2))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole(&cfg);
+        assert!(!resume(&cfg, &mut ckpt, Some(2)).unwrap().complete);
 
         let resumed = CampaignConfig {
             telemetry: Telemetry::new(telemetry::RingRecorder::new(64)),
@@ -1729,9 +1493,10 @@ mod tests {
             threads: 1,
             ..small_cfg()
         };
-        run_campaign_resume(&resumed, &mut ckpt, None)
-            .unwrap()
-            .expect("resume completes the matrix");
+        assert!(
+            resume(&resumed, &mut ckpt, None).unwrap().complete,
+            "resume completes the matrix"
+        );
         resumed
             .telemetry
             .with_recorder::<telemetry::RingRecorder, _>(|r| {

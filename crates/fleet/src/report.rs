@@ -63,8 +63,9 @@ pub struct JobFailure {
     pub attempts: u32,
 }
 
-/// Everything observed about one board's run in the campaign.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything observed about one board's run in the campaign. The
+/// default is an all-zero benign outcome at board 0.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BoardOutcome {
     /// Scenario this board was subjected to.
     pub scenario: Scenario,
@@ -333,14 +334,6 @@ impl CellReport {
         }
     }
 
-    fn from_outcomes(scenario: Scenario, loss: f64, fault: f64, outs: &[&BoardOutcome]) -> Self {
-        let mut cell = CellReport::empty(scenario, loss, fault);
-        for o in outs {
-            cell.fold(o);
-        }
-        cell
-    }
-
     /// Mean reflash retries per board — the cell's retry-rate point on
     /// the fault-sensitivity curve.
     pub fn reflash_retry_rate(&self) -> f64 {
@@ -454,9 +447,9 @@ impl CellReport {
 /// Fold one board's outcome into a metrics registry shard.
 ///
 /// This is the **single** aggregation function behind campaign metrics:
-/// worker threads call it on their private shards as jobs finish, and
+/// [`CampaignAggregate`] calls it as a merge folds shards, and
 /// [`CampaignReport::metrics`] calls it over the final outcome list. Both
-/// paths produce byte-identical expositions because registry merge is
+/// produce byte-identical expositions because registry merge is
 /// order-insensitive — which is also what makes resumed-from-checkpoint
 /// metrics byte-identical to uninterrupted runs (outcomes are outcomes,
 /// however they were scheduled). Labels are the cell coordinates; values
@@ -540,11 +533,12 @@ pub fn registry_from_outcomes(outcomes: &[BoardOutcome]) -> MetricsRegistry {
 
 /// Streaming campaign aggregation: the cell matrix, fleet totals and the
 /// metrics registry built one outcome at a time, in O(cells) memory —
-/// never O(boards). Folding the outcomes of K shards in job order yields
-/// exactly the state [`CampaignReport::assemble`] + [`registry_from_outcomes`]
-/// compute from the full outcome list (every constituent is a pure,
-/// incrementalizable fold), which is the memory model of the campaign
-/// service: a million-board cell costs what an 8-board cell costs.
+/// never O(boards). This is the only place cells and fleet totals are
+/// computed: every merge ([`crate::ShardMerge`]) folds through it, and its
+/// registry equals [`registry_from_outcomes`] over the same outcomes
+/// (every constituent is a pure, incrementalizable fold). That is the
+/// memory model of the campaign service: a million-board cell costs what
+/// an 8-board cell costs.
 #[derive(Debug)]
 pub struct CampaignAggregate {
     scenarios: Vec<Scenario>,
@@ -599,7 +593,9 @@ impl CampaignAggregate {
             .ok_or_else(|| format!("outcome fault {} not in campaign", o.fault))?;
         let idx = (s * self.loss_levels.len() + l) * self.fault_levels.len() + fr;
         self.cells[idx].fold(o);
-        // Mirror of `totals_from_outcomes`, one outcome at a time.
+        // What `mavlink_lite::Router::totals` reports after adopting every
+        // board's ground-station session: each outcome carries its
+        // session's lifetime counters.
         self.fleet.links += 1;
         self.fleet.packets += o.packets;
         self.fleet.heartbeats += o.heartbeats;
@@ -608,11 +604,6 @@ impl CampaignAggregate {
         self.fleet.packets_lost += o.packets_lost;
         fold_outcome_metrics(&mut self.metrics, o);
         Ok(())
-    }
-
-    /// Outcomes folded so far.
-    pub fn jobs(&self) -> usize {
-        self.fleet.links
     }
 
     /// Finish the aggregation: the cell matrix, fleet totals, and the
@@ -732,43 +723,13 @@ pub struct CampaignReport {
     /// (scenario-major: each scenario's cells trace its loss- and
     /// fault-sensitivity curves).
     pub cells: Vec<CellReport>,
-    /// Fleet-wide ground-station totals (all links, via the router).
+    /// Fleet-wide ground-station totals (all links).
     pub fleet: RouterTotals,
     /// Raw per-board outcomes, in job order.
     pub outcomes: Vec<BoardOutcome>,
 }
 
 impl CampaignReport {
-    /// Group `outcomes` into cells following the campaign matrix order.
-    pub fn assemble(
-        config: CampaignSummary,
-        fleet: RouterTotals,
-        outcomes: Vec<BoardOutcome>,
-        scenarios: &[Scenario],
-        loss_levels: &[f64],
-        fault_levels: &[f64],
-    ) -> Self {
-        let mut cells =
-            Vec::with_capacity(scenarios.len() * loss_levels.len() * fault_levels.len());
-        for &s in scenarios {
-            for &l in loss_levels {
-                for &fr in fault_levels {
-                    let outs: Vec<&BoardOutcome> = outcomes
-                        .iter()
-                        .filter(|o| o.scenario == s && o.loss == l && o.fault == fr)
-                        .collect();
-                    cells.push(CellReport::from_outcomes(s, l, fr, &outs));
-                }
-            }
-        }
-        CampaignReport {
-            config,
-            cells,
-            fleet,
-            outcomes,
-        }
-    }
-
     /// The full report as pretty-stable JSON. Byte-identical for identical
     /// `(seed, boards, scenarios, loss)` campaigns, regardless of worker
     /// thread count.
@@ -790,9 +751,9 @@ impl CampaignReport {
     }
 
     /// The campaign's metrics registry, rebuilt from the outcome list.
-    /// Byte-identical (`to_prometheus`/`to_jsonl`) to the shard-merged
-    /// registry the worker pool accumulates, at any thread count, and for
-    /// resumed-from-checkpoint campaigns.
+    /// Byte-identical (`to_prometheus`/`to_jsonl`) to the registry a shard
+    /// merge folds, at any thread count, and for resumed-from-checkpoint
+    /// campaigns.
     pub fn metrics(&self) -> MetricsRegistry {
         registry_from_outcomes(&self.outcomes)
     }
@@ -869,5 +830,30 @@ impl CampaignReport {
         )
         .unwrap();
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::tests::sample_outcome;
+
+    #[test]
+    fn aggregate_folds_cells_and_fleet_totals() {
+        // Every sample outcome sits in one (stealthy, 0.02, 0.0001) cell.
+        let mut agg = CampaignAggregate::new(&[Scenario::V2Stealthy], &[0.02], &[0.0001]);
+        for job in 0..5 {
+            agg.fold(&sample_outcome(job)).unwrap();
+        }
+        let (cells, fleet, metrics) = agg.finish();
+        // Outcomes 0, 2 and 4 carry detection latencies; the cell's sketch
+        // counts exactly those.
+        assert_eq!(cells[0].latency_sketch.count(), 3);
+        assert_eq!((cells[0].boards, cells[0].jobs_quarantined), (5, 1));
+        let t = fleet;
+        assert_eq!((t.links, t.packets, t.heartbeats), (5, 250, 210));
+        assert_eq!((t.bad_checksums, t.seq_gaps, t.packets_lost), (15, 5, 10));
+        let outcomes: Vec<BoardOutcome> = (0..5).map(sample_outcome).collect();
+        assert_eq!(metrics, registry_from_outcomes(&outcomes));
     }
 }

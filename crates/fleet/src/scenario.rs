@@ -3,9 +3,10 @@
 use rop::attack::AttackKind;
 
 /// One attack (or control) scenario a campaign schedules against boards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scenario {
     /// No attack: the baseline that calibrates heartbeat and link numbers.
+    #[default]
     Benign,
     /// The paper's basic ROP (§IV-C): write memory, then crash.
     V1Crash,

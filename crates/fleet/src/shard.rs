@@ -1,7 +1,9 @@
-//! Sharded campaigns: split the job space into contiguous, independently
-//! checkpointed segments, run them in any order (or on any machine), and
-//! merge the shards back into the byte-identical [`CampaignReport`] an
-//! unsharded run would have produced.
+//! Sharded campaigns — the one way a campaign runs. The job space is split
+//! into contiguous, independently checkpointed segments, run in any order
+//! (or on any machine), and the shards merge back into the byte-identical
+//! [`CampaignReport`] a single uninterrupted run produces. An unsharded
+//! campaign ([`crate::run_campaign`], `fleet --checkpoint`) is simply a
+//! plan with one shard.
 //!
 //! Why this is sound: the campaign is a pure function of its config, each
 //! job is independent, and every aggregate the report carries — cell
@@ -18,14 +20,17 @@
 //! campaign run in the same RAM as an 8-board one.
 
 use crate::checkpoint::{get_outcome, put_outcome};
-use crate::report::BoardOutcome;
+use crate::report::{BoardOutcome, CampaignAggregate, CellReport};
 use crate::{
-    config_fingerprint, summarize, totals_from_outcomes, CampaignConfig, CampaignReport, Job,
-    PreparedCampaign, ProgressMeter,
+    config_fingerprint, summarize, CampaignConfig, CampaignReport, Job, PreparedCampaign,
+    ProgressMeter,
 };
+use mavlink_lite::RouterTotals;
 use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
+use std::path::Path;
 use telemetry::metrics::MetricsRegistry;
+use telemetry::{kinds, Value};
 
 /// How a campaign's job space is cut into shards: contiguous ranges of at
 /// most `shard_jobs` jobs, in job order. The plan is *not* part of the
@@ -63,8 +68,7 @@ impl ShardPlan {
 
 /// Persistent progress of one shard: its identity (campaign fingerprint,
 /// plan coordinates, job range) and the outcomes of the range's completed
-/// jobs. Serialized as [`Kind::ShardCheckpoint`] — a distinct wire kind
-/// from whole-campaign checkpoints, so the two can never be confused.
+/// jobs. Serialized as [`Kind::ShardCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// [`config_fingerprint`] of the campaign this shard belongs to.
@@ -93,6 +97,25 @@ impl ShardCheckpoint {
             job_lo: range.start,
             job_hi: range.end,
             outcomes: BTreeMap::new(),
+        }
+    }
+
+    /// An empty checkpoint of the one-shard plan: the whole job space.
+    pub fn whole(cfg: &CampaignConfig) -> Self {
+        ShardCheckpoint::new(cfg, &ShardPlan::new(cfg, cfg.total_jobs() as u64), 0)
+    }
+
+    /// Read the checkpoint at `path`, or `fresh()` when no file exists
+    /// yet. Only a missing file starts fresh: any other read error (EIO,
+    /// EACCES, a directory in the way) and any blob that does not decode
+    /// as a shard checkpoint is an error, so a complete shard is never
+    /// silently restarted and overwritten.
+    pub fn load_or(path: &Path, fresh: impl FnOnce() -> Self) -> Result<Self, String> {
+        match std::fs::read(path) {
+            Ok(blob) => ShardCheckpoint::from_bytes(&blob)
+                .map_err(|e| format!("unreadable shard checkpoint {}: {e}", path.display())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(fresh()),
+            Err(e) => Err(format!("read {}: {e}", path.display())),
         }
     }
 
@@ -203,7 +226,8 @@ pub struct ShardRunStatus {
 /// JSONL streaming) in job order. `progress_done_offset` seeds the
 /// heartbeat counter with the jobs completed before this call, campaign-
 /// wide, so a service's progress stream counts monotonically across
-/// shards and restarts.
+/// shards and restarts. Resuming a shard that already holds outcomes
+/// emits one `campaign.checkpoint_resumed` event.
 ///
 /// Jobs are constructed lazily from their indices — a shard run allocates
 /// O(shard jobs), never O(campaign jobs).
@@ -235,20 +259,25 @@ pub fn run_shard_resume(
         .filter(|j| !ckpt.outcomes.contains_key(j))
         .map(|j| crate::job_at(cfg, j as usize))
         .collect();
+    if !ckpt.outcomes.is_empty() {
+        cfg.telemetry.emit(kinds::CHECKPOINT_RESUMED, None, || {
+            vec![
+                ("jobs_done", Value::U64(ckpt.outcomes.len() as u64)),
+                ("jobs_pending", Value::U64(pending.len() as u64)),
+            ]
+        });
+    }
     if let Some(budget) = budget_jobs {
         pending.truncate(budget);
     }
-    let meter = ProgressMeter::new(cfg, progress_done_offset, cfg.total_jobs());
-    let outcomes = &mut ckpt.outcomes;
-    let (ran, _shard_metrics) =
-        crate::execute_jobs_streaming(cfg, &prepared.0, &pending, &meter, |i, outcome, _gcs| {
-            let job = pending[i].job_index as u64;
-            on_outcome(job, &outcome);
-            assert!(
-                outcomes.insert(job, outcome).is_none(),
-                "job {job} checkpointed twice"
-            );
-        });
+    let mut meter = ProgressMeter::new(cfg, progress_done_offset);
+    let ran = crate::execute_jobs_streaming(cfg, prepared, &pending, |i, outcome| {
+        let job = pending[i].job_index as u64;
+        meter.observe(&outcome);
+        on_outcome(job, &outcome);
+        ckpt.insert_outcome(job, outcome);
+    });
+    meter.emit(true);
     Ok(ShardRunStatus {
         ran,
         complete: ckpt.complete(),
@@ -256,9 +285,75 @@ pub fn run_shard_resume(
     })
 }
 
+/// The one shard-set validation and fold behind every merge. Shards are
+/// added in job order; each must fingerprint this campaign, be complete,
+/// and start where the previous one ended, and its outcomes fold into one
+/// [`CampaignAggregate`]. [`ShardMerge::finish`] then demands that the
+/// shards covered the whole job space. Holds O(cells), never a shard, so a
+/// streaming merger can load, add and drop one shard at a time.
+#[derive(Debug)]
+pub struct ShardMerge {
+    fingerprint: u64,
+    total_jobs: u64,
+    next_job: u64,
+    agg: CampaignAggregate,
+}
+
+impl ShardMerge {
+    /// An empty merge of `cfg`'s shards.
+    pub fn new(cfg: &CampaignConfig) -> Self {
+        ShardMerge {
+            fingerprint: config_fingerprint(cfg),
+            total_jobs: cfg.total_jobs() as u64,
+            next_job: 0,
+            agg: CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels),
+        }
+    }
+
+    /// Validate the next shard in job order and fold its outcomes.
+    pub fn add(&mut self, shard: &ShardCheckpoint) -> Result<(), String> {
+        if shard.fingerprint != self.fingerprint {
+            return Err(format!(
+                "shard {} fingerprints a different campaign ({:#018x} != {:#018x})",
+                shard.shard_index, shard.fingerprint, self.fingerprint
+            ));
+        }
+        if !shard.complete() {
+            return Err(format!(
+                "shard {} is incomplete ({}/{} jobs) — finish or resume it before merging",
+                shard.shard_index,
+                shard.outcomes.len(),
+                shard.jobs()
+            ));
+        }
+        if shard.job_lo != self.next_job {
+            return Err(format!(
+                "shard ranges do not partition the job space: expected a shard starting \
+                 at {}, found {}..{}",
+                self.next_job, shard.job_lo, shard.job_hi
+            ));
+        }
+        self.next_job = shard.job_hi;
+        shard.outcomes.values().try_for_each(|o| self.agg.fold(o))
+    }
+
+    /// Finish the merge: the cell matrix, fleet totals and metrics
+    /// registry ([`CampaignAggregate::finish`]). Fails unless the added
+    /// shards cover the whole job space.
+    pub fn finish(self) -> Result<(Vec<CellReport>, RouterTotals, MetricsRegistry), String> {
+        if self.next_job != self.total_jobs {
+            return Err(format!(
+                "shard ranges cover {} of {} jobs — missing the tail",
+                self.next_job, self.total_jobs
+            ));
+        }
+        Ok(self.agg.finish())
+    }
+}
+
 /// Fold complete shards back into the campaign's report and metrics —
-/// byte-identical (`to_json`, `to_prometheus`, `to_jsonl`) to an unsharded
-/// [`crate::run_campaign_with_metrics`] at any thread count.
+/// byte-identical (`to_json`, `to_prometheus`, `to_jsonl`) to a
+/// single-shard [`crate::run_campaign`] at any thread count.
 ///
 /// Accepts the shards in any order, from any contiguous partition of the
 /// job space (they need not share a [`ShardPlan`]); fails if a shard
@@ -268,64 +363,31 @@ pub fn merge_shard_checkpoints(
     cfg: &CampaignConfig,
     mut shards: Vec<ShardCheckpoint>,
 ) -> Result<(CampaignReport, MetricsRegistry), String> {
-    let fp = config_fingerprint(cfg);
-    for s in &shards {
-        if s.fingerprint != fp {
-            return Err(format!(
-                "shard {} fingerprints a different campaign ({:#018x} != {fp:#018x})",
-                s.shard_index, s.fingerprint
-            ));
-        }
-        if !s.complete() {
-            return Err(format!(
-                "shard {} is incomplete ({}/{} jobs) — finish or resume it before merging",
-                s.shard_index,
-                s.outcomes.len(),
-                s.jobs()
-            ));
-        }
-    }
     shards.sort_by_key(|s| s.job_lo);
-    let total = cfg.total_jobs() as u64;
-    let mut expect = 0u64;
+    let mut merge = ShardMerge::new(cfg);
     for s in &shards {
-        if s.job_lo != expect {
-            return Err(format!(
-                "shard ranges do not partition the job space: expected a shard starting \
-                 at {expect}, found {}..{}",
-                s.job_lo, s.job_hi
-            ));
-        }
-        expect = s.job_hi;
+        merge.add(s)?;
     }
-    if expect != total {
-        return Err(format!(
-            "shard ranges cover {expect} of {total} jobs — missing the tail"
-        ));
-    }
+    let (cells, fleet, metrics) = merge.finish()?;
     // Shards are contiguous and sorted, so per-shard job order concatenates
-    // into the campaign's job order — the exact list the unsharded run
-    // stitches.
-    let outcomes: Vec<BoardOutcome> = shards
-        .iter()
-        .flat_map(|s| s.outcomes.values().cloned())
+    // into the campaign's job order.
+    let outcomes = shards
+        .into_iter()
+        .flat_map(|s| s.outcomes.into_values())
         .collect();
-    let fleet = totals_from_outcomes(&outcomes);
-    let report = CampaignReport::assemble(
-        summarize(cfg),
+    let report = CampaignReport {
+        config: summarize(cfg),
+        cells,
         fleet,
         outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    );
-    let metrics = report.metrics();
+    };
     Ok((report, metrics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::sample_outcome;
 
     fn cfg() -> CampaignConfig {
         CampaignConfig {
@@ -344,6 +406,8 @@ mod tests {
         assert_eq!(plan.range(2), 6..6, "past-the-end shards are empty");
         // Degenerate request still makes progress.
         assert_eq!(ShardPlan::new(&cfg(), 0).shard_jobs, 1);
+        let whole = ShardCheckpoint::whole(&cfg());
+        assert_eq!((whole.job_lo, whole.job_hi, whole.shard_count), (0, 6, 1));
     }
 
     #[test]
@@ -352,19 +416,24 @@ mod tests {
         let plan = ShardPlan::new(&cfg, 4);
         let mut s = ShardCheckpoint::new(&cfg, &plan, 1);
         assert_eq!((s.job_lo, s.job_hi), (4, 6));
-        s.insert_outcome(4, crate::checkpoint::tests::sample_outcome(4));
+        s.insert_outcome(4, sample_outcome(4));
         let blob = s.to_bytes();
         assert_eq!(ShardCheckpoint::from_bytes(&blob).unwrap(), s);
         let mut bad = blob.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 1;
-        assert!(ShardCheckpoint::from_bytes(&bad).is_err());
-        // A whole-campaign checkpoint blob is a different wire kind.
-        let ckpt = crate::Checkpoint::new(&cfg);
         assert!(matches!(
-            ShardCheckpoint::from_bytes(&ckpt.to_bytes()),
-            Err(SnapshotError::WrongKind { .. })
+            ShardCheckpoint::from_bytes(&bad),
+            Err(SnapshotError::CrcMismatch { .. })
         ));
+        // A blob of the retired whole-campaign checkpoint kind (byte 4)
+        // is a typed decode error, not a shard.
+        let mut retired = blob.clone();
+        retired[10] = 4;
+        assert_eq!(
+            ShardCheckpoint::from_bytes(&retired),
+            Err(SnapshotError::BadKind(4))
+        );
     }
 
     #[test]
@@ -373,7 +442,13 @@ mod tests {
         let plan = ShardPlan::new(&cfg, 3); // 6 jobs → 2 shards of 3
         let fill = |s: &mut ShardCheckpoint| {
             for j in s.job_lo..s.job_hi {
-                s.insert_outcome(j, crate::checkpoint::tests::sample_outcome(j as usize));
+                let on_matrix = BoardOutcome {
+                    scenario: crate::Scenario::Benign,
+                    loss: 0.0,
+                    fault: 0.0,
+                    ..sample_outcome(j as usize)
+                };
+                s.insert_outcome(j, on_matrix);
             }
         };
         let mut a = ShardCheckpoint::new(&cfg, &plan, 0);
@@ -385,14 +460,12 @@ mod tests {
             .contains("incomplete"));
         fill(&mut b);
         // Missing shard refused.
-        assert!(
-            merge_shard_checkpoints(&cfg, vec![a.clone()])
-                .unwrap_err()
-                .contains("partition")
-                || merge_shard_checkpoints(&cfg, vec![a.clone()])
-                    .unwrap_err()
-                    .contains("missing")
-        );
+        assert!(merge_shard_checkpoints(&cfg, vec![a.clone()])
+            .unwrap_err()
+            .contains("missing"));
+        assert!(merge_shard_checkpoints(&cfg, vec![b.clone()])
+            .unwrap_err()
+            .contains("partition"));
         // Duplicate shard refused (overlap).
         assert!(merge_shard_checkpoints(&cfg, vec![a.clone(), a.clone(), b.clone()]).is_err());
         // Foreign fingerprint refused.

@@ -10,9 +10,9 @@
 //! have written.
 
 use mavr_fleet::{
-    config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign_with_metrics,
-    run_shard_resume, summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign,
-    Scenario, ShardCheckpoint, JSON_EPILOGUE,
+    config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign, run_shard_resume,
+    summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign, Scenario,
+    ShardCheckpoint, ShardMerge, JSON_EPILOGUE,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -37,7 +37,8 @@ fn cfg() -> CampaignConfig {
 fn oracle() -> &'static (String, String, String) {
     static ORACLE: OnceLock<(String, String, String)> = OnceLock::new();
     ORACLE.get_or_init(|| {
-        let (report, metrics) = run_campaign_with_metrics(&cfg());
+        let report = run_campaign(&cfg());
+        let metrics = report.metrics();
         (
             report.to_json(),
             metrics.to_prometheus(),
@@ -141,18 +142,16 @@ proptest! {
         prop_assert_eq!(&metrics.to_jsonl(), jsonl);
 
         // The streaming merge the campaign service uses — an incremental
-        // CampaignAggregate fold plus prelude/lines/epilogue concatenation,
-        // never holding a CampaignReport — writes the same bytes.
+        // ShardMerge fold plus prelude/lines/epilogue concatenation, never
+        // holding a CampaignReport — writes the same bytes.
         shards.sort_by_key(|s| s.job_lo);
-        let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
+        let mut merge = ShardMerge::new(&cfg);
         let mut lines: Vec<String> = Vec::new();
         for shard in &shards {
-            for outcome in shard.outcomes.values() {
-                agg.fold(outcome).unwrap();
-                lines.push(outcome.to_json_line());
-            }
+            merge.add(shard).unwrap();
+            lines.extend(shard.outcomes.values().map(BoardOutcome::to_json_line));
         }
-        let (cells, fleet, agg_metrics) = agg.finish();
+        let (cells, fleet, agg_metrics) = merge.finish().unwrap();
         let mut streamed_json = json_prelude(&summarize(&cfg), &cells, &fleet);
         for (i, line) in lines.iter().enumerate() {
             if i > 0 {
@@ -192,31 +191,11 @@ fn aggregate_rejects_foreign_outcomes() {
 
 fn sample() -> BoardOutcome {
     BoardOutcome {
-        scenario: Scenario::Benign,
         loss: 0.01,
-        fault: 0.0,
-        board_index: 0,
         board_seed: 1,
-        attack_packets: 0,
-        attack_succeeded: false,
-        recoveries: 0,
-        reflash_retries: 0,
-        degraded_boots: 0,
-        bricked: false,
-        time_to_recovery: None,
         final_cycle: 1,
         heartbeats: 1,
         packets: 1,
-        seq_gaps: 0,
-        packets_lost: 0,
-        bad_checksums: 0,
-        uav_bad_crc: 0,
-        sim_block_hits: 0,
-        sim_block_invalidations: 0,
-        sim_block_count: 0,
-        up_stats: Default::default(),
-        down_stats: Default::default(),
-        world: None,
-        failure: None,
+        ..BoardOutcome::default()
     }
 }

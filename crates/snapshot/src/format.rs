@@ -35,7 +35,7 @@ pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
 /// PWM compare latches, and the PORTB output latch. v2 blobs still
 /// decode: the new fields default and the PORTB latch is backfilled
 /// from the data image, where v2 encoders stored it.
-/// v4: campaign checkpoint outcomes carry the supervised-job failure
+/// v4: campaign shard checkpoint outcomes carry the supervised-job failure
 /// record (quarantine kind + attempts). v3 blobs still decode: no job
 /// the pre-supervision engine ran could have been quarantined, so the
 /// field defaults to "no failure".
@@ -50,14 +50,12 @@ pub enum Kind {
     MachineDelta,
     /// A complete [`BoardState`].
     Board,
-    /// A fleet campaign checkpoint (payload owned by the `fleet` crate).
-    Checkpoint,
     /// A [`mavr_world::WorldState`]: the physical arena around a board.
     World,
     /// One shard of a sharded fleet campaign: a contiguous job range and
-    /// its completed outcomes (payload owned by the `fleet` crate). Kept
-    /// distinct from [`Kind::Checkpoint`] so a shard file can never be
-    /// resumed as a whole-campaign checkpoint or vice versa.
+    /// its completed outcomes (payload owned by the `fleet` crate). The
+    /// only campaign checkpoint kind: kind byte 4, the retired
+    /// whole-campaign checkpoint, now decodes as [`SnapshotError::BadKind`].
     ShardCheckpoint,
 }
 
@@ -67,7 +65,6 @@ impl Kind {
             Kind::MachineFull => 1,
             Kind::MachineDelta => 2,
             Kind::Board => 3,
-            Kind::Checkpoint => 4,
             Kind::World => 5,
             Kind::ShardCheckpoint => 6,
         }
@@ -78,7 +75,6 @@ impl Kind {
             1 => Some(Kind::MachineFull),
             2 => Some(Kind::MachineDelta),
             3 => Some(Kind::Board),
-            4 => Some(Kind::Checkpoint),
             5 => Some(Kind::World),
             6 => Some(Kind::ShardCheckpoint),
             _ => None,
@@ -932,7 +928,7 @@ mod tests {
         bad[10] = 9;
         assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(9)));
         // Wrong (but valid) kind.
-        let board_kind = Writer::new().finish(Kind::Checkpoint);
+        let board_kind = Writer::new().finish(Kind::Board);
         assert!(matches!(
             decode_machine(&board_kind),
             Err(SnapshotError::WrongKind { .. })

@@ -1,7 +1,7 @@
 //! Property tests for the mergeable metrics plane: sharded merges must be
-//! associative, commutative and partition-invariant (the guarantee the
-//! fleet engine's per-worker shards lean on for byte-identical expositions
-//! at any thread count), sketches must round-trip their wire format, and
+//! associative, commutative and partition-invariant (the guarantee behind
+//! byte-identical fleet expositions however a campaign is partitioned),
+//! sketches must round-trip their wire format, and
 //! quantile answers must stay inside the documented relative-error bound.
 
 use proptest::collection::vec as pvec;
