@@ -1,6 +1,6 @@
 //! Experiment drivers that regenerate every table and figure of the
-//! paper's evaluation (§VII), shared by the `tables` binary and the
-//! Criterion benches.
+//! paper's evaluation (§VII), the design-choice ablations, and the
+//! host-side benches, all driven by the `tables` binary.
 //!
 //! | Experiment | Paper artifact | Driver |
 //! |---|---|---|
@@ -13,6 +13,11 @@
 //! | F1 | Fig. 2 — MAVLink packet structure | [`fig2`] |
 //! | F2 | Figs. 4–5 — gadget listings | [`gadget_listings`] |
 //! | F3 | Fig. 6 — stack progression during the stealthy attack | [`fig6`] |
+//! | A1 | DESIGN.md §4 — ablations | [`ablations`] |
+//!
+//! Every bench times through one helper (`time_arms`) and returns its
+//! record as a JSON object, which [`write_bench`] host-stamps and writes
+//! to `BENCH_<name>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -20,6 +25,7 @@ use avr_core::image::FirmwareImage;
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{MavrBoard, SerialLink};
+pub use mavr_campaignd::json::Json;
 use rop::attack::AttackContext;
 use rop::scanner::{self, ScanOptions};
 use synth_firmware::{apps, build, layout as l, AppSpec, BuildOptions, FirmwareBuild};
@@ -263,8 +269,8 @@ pub fn entropy() -> Vec<Row> {
 /// only speaks on lifecycle and failure paths.
 ///
 /// Telemetry runs through a [`telemetry::NullRecorder`]: every emission is
-/// counted but immediately discarded, the configuration whose overhead is
-/// measured (and shown to be ~0) by the `simulator` Criterion bench.
+/// counted but immediately discarded, the configuration whose overhead
+/// [`telemetry_overhead`] measures (and shows to be ~0).
 pub fn counters(cycles: u64) -> Vec<Row> {
     use telemetry::{NullRecorder, Telemetry};
     let mut builds = vec![build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap()];
@@ -303,1030 +309,6 @@ pub fn counters(cycles: u64) -> Vec<Row> {
             }
         })
         .collect()
-}
-
-/// Measured simulator throughput (simulated cycles per second of host
-/// time) on the `run_1M_cycles/tiny_firmware` workload, across the
-/// three-tier engine chain: decode-every-fetch (`uncached`), the
-/// predecode cache + fast run loop (`predecoded`), and block-fused
-/// superinstruction dispatch (`fused` — the default configuration). See
-/// [`simulator_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatorThroughput {
-    /// Cycles/sec with `Machine::set_predecode(false)`.
-    pub uncached_cycles_per_sec: f64,
-    /// Cycles/sec with the predecode cache on but
-    /// `Machine::set_block_fusion(false)`.
-    pub predecoded_cycles_per_sec: f64,
-    /// Cycles/sec with block fusion on (the default).
-    pub fused_cycles_per_sec: f64,
-    /// Samples per configuration the medians were taken over.
-    pub samples: usize,
-}
-
-impl SimulatorThroughput {
-    /// `predecoded / uncached` — the factor the predecode cache buys.
-    pub fn predecode_speedup(&self) -> f64 {
-        self.predecoded_cycles_per_sec / self.uncached_cycles_per_sec
-    }
-
-    /// `fused / predecoded` — the factor block fusion buys on top.
-    pub fn fusion_speedup(&self) -> f64 {
-        self.fused_cycles_per_sec / self.predecoded_cycles_per_sec
-    }
-
-    /// `fused / uncached` — the whole chain.
-    pub fn total_speedup(&self) -> f64 {
-        self.fused_cycles_per_sec / self.uncached_cycles_per_sec
-    }
-
-    /// The `BENCH_simulator.json` payload (hand-rolled; the workspace has
-    /// no JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"run_1M_cycles/tiny_firmware\",\n  \"unit\": \"cycles_per_sec\",\n  \"samples\": {},\n  \"uncached\": {:.0},\n  \"predecoded\": {:.0},\n  \"block_fused\": {:.0},\n  \"predecode_speedup\": {:.2},\n  \"fusion_speedup\": {:.2},\n  \"total_speedup\": {:.2}\n}}\n",
-            self.samples,
-            self.uncached_cycles_per_sec,
-            self.predecoded_cycles_per_sec,
-            self.fused_cycles_per_sec,
-            self.predecode_speedup(),
-            self.fusion_speedup(),
-            self.total_speedup()
-        )
-    }
-}
-
-/// Measure simulator throughput across the engine chain — uncached,
-/// predecoded, block-fused (`quick` = fewer samples, for CI smoke).
-///
-/// The three legs are interleaved round-robin (one sample of each per
-/// round) so slow load drift on a shared machine cannot land entirely on
-/// one leg and skew the ratios, and each leg reports its *fastest*
-/// sample: external noise only ever adds time, so the minimum is the
-/// robust estimator of the engine's actual speed.
-pub fn simulator_throughput(quick: bool) -> SimulatorThroughput {
-    const CYCLES: u64 = 1_000_000;
-    let samples = if quick { 3 } else { 11 };
-    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-    let time_leg = |predecode: bool, fusion: bool| -> f64 {
-        let mut m = avr_sim::Machine::new_atmega2560();
-        m.set_predecode(predecode);
-        m.set_block_fusion(fusion);
-        m.load_flash(0, &fw.image.bytes);
-        let t0 = std::time::Instant::now();
-        m.run(CYCLES);
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(m.fault().is_none(), "bench firmware crashed");
-        dt
-    };
-    let mut best = [f64::INFINITY; 3];
-    for _ in 0..samples {
-        for (i, (predecode, fusion)) in [(false, false), (true, false), (true, true)]
-            .iter()
-            .enumerate()
-        {
-            best[i] = best[i].min(time_leg(*predecode, *fusion));
-        }
-    }
-    SimulatorThroughput {
-        uncached_cycles_per_sec: CYCLES as f64 / best[0],
-        predecoded_cycles_per_sec: CYCLES as f64 / best[1],
-        fused_cycles_per_sec: CYCLES as f64 / best[2],
-        samples,
-    }
-}
-
-/// One fleet-size point of the campaign-throughput curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetBenchRow {
-    /// Boards in the campaign.
-    pub boards: usize,
-    /// Simulated application cycles summed over every board.
-    pub total_cycles: u64,
-    /// Wall-clock seconds for the whole campaign (build + provision + fly).
-    pub secs: f64,
-}
-
-impl FleetBenchRow {
-    /// Aggregate simulated cycles per wall-clock second — the campaign
-    /// engine's headline number (`boards · cycles / sec`).
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.total_cycles as f64 / self.secs
-    }
-}
-
-/// Measured campaign throughput at several fleet sizes. See
-/// [`fleet_throughput`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetThroughput {
-    /// One row per fleet size, smallest first.
-    pub rows: Vec<FleetBenchRow>,
-    /// Cycles each board flies (warmup + attack window).
-    pub cycles_per_board: u64,
-}
-
-impl FleetThroughput {
-    /// The `BENCH_fleet.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"boards\": {}, \"total_cycles\": {}, \"secs\": {:.3}, \
-                     \"boards_cycles_per_sec\": {:.0}}}",
-                    r.boards,
-                    r.total_cycles,
-                    r.secs,
-                    r.cycles_per_sec()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"fleet_campaign/benign\",\n  \"unit\": \"boards_cycles_per_sec\",\n  \"cycles_per_board\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.cycles_per_board, rows
-        )
-    }
-}
-
-/// Measure fleet-campaign throughput: a benign campaign (no attack, zero
-/// loss) at 1, 8 and 32 boards, timed end to end — firmware build, N
-/// provisions (container read + randomize + program), and the flight
-/// itself over the channel/router plumbing. `quick` shortens the flight
-/// for CI smoke runs.
-pub fn fleet_throughput(quick: bool) -> FleetThroughput {
-    use mavr_fleet::{run_campaign, CampaignConfig, Scenario};
-    let (warmup, flight) = if quick {
-        (100_000, 400_000)
-    } else {
-        (300_000, 1_700_000)
-    };
-    let rows = [1usize, 8, 32]
-        .iter()
-        .map(|&boards| {
-            let cfg = CampaignConfig {
-                boards,
-                scenarios: vec![Scenario::Benign],
-                loss_levels: vec![0.0],
-                warmup_cycles: warmup,
-                attack_cycles: flight,
-                ..CampaignConfig::default()
-            };
-            let t0 = std::time::Instant::now();
-            let report = run_campaign(&cfg);
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(report.outcomes.len(), boards, "every board reported");
-            FleetBenchRow {
-                boards,
-                total_cycles: report.outcomes.iter().map(|o| o.final_cycle).sum(),
-                secs,
-            }
-        })
-        .collect();
-    FleetThroughput {
-        rows,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One campaign-size point of the service's constant-memory curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignBenchRow {
-    /// Boards (= jobs; one benign cell) in the campaign.
-    pub boards: usize,
-    /// Wall-clock seconds to run every shard and merge the report.
-    pub secs: f64,
-    /// Process peak RSS (`VmHWM`) after this campaign, in MiB. The
-    /// constant-memory claim is that this column stays flat while the
-    /// boards column grows 100x.
-    pub peak_rss_mb: f64,
-}
-
-impl CampaignBenchRow {
-    /// Jobs completed per wall-clock second, merge included.
-    pub fn jobs_per_sec(&self) -> f64 {
-        self.boards as f64 / self.secs
-    }
-}
-
-/// Measured campaign-service cost at several campaign sizes. See
-/// [`campaignd_memory`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignServiceBench {
-    /// One row per campaign size, smallest first (peak RSS is monotonic,
-    /// so a flat column means the big campaigns added nothing).
-    pub rows: Vec<CampaignBenchRow>,
-    /// Jobs per shard checkpoint.
-    pub shard_jobs: u64,
-    /// Cycles each board flies.
-    pub cycles_per_board: u64,
-}
-
-impl CampaignServiceBench {
-    /// Largest-over-smallest peak-RSS ratio — ~1.0 is the constant-memory
-    /// claim (the job count grows 100x between those rows).
-    pub fn rss_growth(&self) -> f64 {
-        match (self.rows.first(), self.rows.last()) {
-            (Some(a), Some(b)) if a.peak_rss_mb > 0.0 => b.peak_rss_mb / a.peak_rss_mb,
-            _ => 1.0,
-        }
-    }
-
-    /// The `BENCH_campaignd.json` payload.
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"boards\": {}, \"secs\": {:.3}, \"jobs_per_sec\": {:.1}, \
-                     \"peak_rss_mb\": {:.1}}}",
-                    r.boards,
-                    r.secs,
-                    r.jobs_per_sec(),
-                    r.peak_rss_mb
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"campaignd/sharded_benign\",\n  \"unit\": \"jobs_per_sec\",\n  \
-             \"shard_jobs\": {},\n  \"cycles_per_board\": {},\n  \"rss_growth\": {:.2},\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            self.shard_jobs,
-            self.cycles_per_board,
-            self.rss_growth(),
-            rows
-        )
-    }
-}
-
-/// Process peak resident set (`VmHWM`) in MiB, from `/proc/self/status`;
-/// 0.0 where the file does not exist (non-Linux).
-pub fn peak_rss_mb() -> f64 {
-    let Ok(text) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: f64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
-/// Measure the campaign service end to end — shard execution, per-board
-/// JSONL streaming, checkpoint flushes, and the two-pass report merge —
-/// at campaign sizes spanning two orders of magnitude, recording peak RSS
-/// after each. Because shard outcomes stream to disk and metrics fold
-/// through the registry merge, the peak-RSS column stays flat as the
-/// board count grows 100x: the service's memory is O(shard), not
-/// O(campaign). `quick` caps the largest campaign for CI smoke runs.
-/// Sizes run smallest-first because `VmHWM` is monotonic — a flat column
-/// therefore proves the big campaigns allocated no more than the small
-/// ones.
-pub fn campaignd_memory(quick: bool) -> CampaignServiceBench {
-    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let sizes: &[usize] = if quick {
-        &[100, 1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    // Short flights: the point is service overhead and memory, not
-    // simulated-cycle throughput (BENCH_fleet.json covers that).
-    let (warmup, flight) = (40_000u64, 60_000u64);
-    let shard_jobs = 256u64;
-    let root = std::env::temp_dir()
-        .join("mavr-campaignd-bench")
-        .join(std::process::id().to_string());
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("bench scratch dir");
-
-    let rows = sizes
-        .iter()
-        .map(|&boards| {
-            let mut spec = CampaignSpec::named(&format!("bench-{boards}"));
-            spec.boards = boards;
-            spec.scenarios = vec![mavr_fleet::Scenario::Benign];
-            spec.warmup_cycles = warmup;
-            spec.attack_cycles = flight;
-            spec.shard_jobs = shard_jobs;
-            let store = CampaignStore::create(&root, spec).expect("create campaign");
-            let session = CampaignSession::new(
-                store,
-                telemetry::Telemetry::off(),
-                Arc::new(AtomicBool::new(false)),
-            )
-            .expect("session");
-            let t0 = std::time::Instant::now();
-            let outcome = session.run(None, None).expect("run campaign");
-            assert!(outcome.complete, "bench campaign ran to completion");
-            merge_store(&session.store).expect("merge campaign");
-            let secs = t0.elapsed().as_secs_f64();
-            CampaignBenchRow {
-                boards,
-                secs,
-                peak_rss_mb: peak_rss_mb(),
-            }
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&root);
-    CampaignServiceBench {
-        rows,
-        shard_jobs,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One disk-fault-rate point of the service-recovery sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustRecoveryRow {
-    /// Probability each durable-write step (create/write/sync/rename)
-    /// misbehaves: EIO, ENOSPC, or a short write.
-    pub store_fault_rate: f64,
-    /// Milliseconds from "process gone" back to checkpointed progress:
-    /// store reopen + session rebuild (firmware relink) + a one-job
-    /// resume slice, after a run that stopped mid-campaign.
-    pub mttr_ms: f64,
-    /// Checkpoint flushes the resumed session abandoned to injected disk
-    /// faults while driving the campaign to completion (each one re-runs
-    /// its slice — degraded, never lost).
-    pub checkpoints_skipped: u64,
-    /// Resume slices the session needed to finish under this fault rate.
-    pub slices_to_complete: u64,
-}
-
-/// One sabotage-rate point of the quarantine-overhead sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustQuarantineRow {
-    /// Probability a job is a persistent panicker (seeded, per-job fate).
-    pub panic_rate: f64,
-    /// Jobs quarantined — the `quarantine.jsonl` line count after merge.
-    pub quarantined: u64,
-    /// Wall-clock seconds to run every shard and merge the report.
-    pub secs: f64,
-}
-
-/// Measured cost of the service's supervision machinery. See
-/// [`robust_service`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustServiceBench {
-    /// One row per injected disk-fault rate, clean baseline first.
-    pub recovery: Vec<RobustRecoveryRow>,
-    /// One row per sabotage panic rate, clean baseline first.
-    pub quarantine: Vec<RobustQuarantineRow>,
-    /// Boards (= jobs; one benign cell) per campaign.
-    pub boards: usize,
-    /// Cycles each board flies.
-    pub cycles_per_board: u64,
-}
-
-impl RobustServiceBench {
-    /// Slowest recovery across the fault sweep — the MTTR the CI gate
-    /// bounds.
-    pub fn worst_mttr_ms(&self) -> f64 {
-        self.recovery.iter().map(|r| r.mttr_ms).fold(0.0, f64::max)
-    }
-
-    /// Wall-clock ratio of the highest sabotage rate over the clean
-    /// baseline — what retries + quarantine cost an otherwise identical
-    /// campaign.
-    pub fn quarantine_overhead(&self) -> f64 {
-        match (self.quarantine.first(), self.quarantine.last()) {
-            (Some(a), Some(b)) if a.secs > 0.0 => b.secs / a.secs,
-            _ => 1.0,
-        }
-    }
-
-    /// The `BENCH_robust.json` payload.
-    pub fn to_json(&self) -> String {
-        let base_secs = self.quarantine.first().map_or(0.0, |r| r.secs);
-        let recovery = self
-            .recovery
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"store_fault_rate\": {}, \"mttr_ms\": {:.1}, \
-                     \"checkpoints_skipped\": {}, \"slices_to_complete\": {}}}",
-                    r.store_fault_rate, r.mttr_ms, r.checkpoints_skipped, r.slices_to_complete
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let quarantine = self
-            .quarantine
-            .iter()
-            .map(|r| {
-                let overhead = if base_secs > 0.0 {
-                    r.secs / base_secs
-                } else {
-                    1.0
-                };
-                format!(
-                    "    {{\"panic_rate\": {}, \"quarantined\": {}, \"secs\": {:.3}, \
-                     \"overhead\": {overhead:.3}}}",
-                    r.panic_rate, r.quarantined, r.secs
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"campaignd/robust_service\",\n  \"boards\": {},\n  \
-             \"cycles_per_board\": {},\n  \"worst_mttr_ms\": {:.1},\n  \
-             \"quarantine_overhead\": {:.3},\n  \"recovery\": [\n{}\n  ],\n  \
-             \"quarantine\": [\n{}\n  ]\n}}\n",
-            self.boards,
-            self.cycles_per_board,
-            self.worst_mttr_ms(),
-            self.quarantine_overhead(),
-            recovery,
-            quarantine
-        )
-    }
-}
-
-/// Measure the campaign service's supervision machinery end to end.
-///
-/// Two sweeps, both fully deterministic (seeded fault draws, seeded
-/// sabotage fates):
-///
-/// - **Recovery**: run half a campaign, drop the session cold (the
-///   in-process stand-in for SIGKILL — the on-disk state is identical),
-///   then time store reopen + session rebuild + a one-job resume slice.
-///   That is the service's MTTR: how long a supervisor waits between
-///   "process gone" and "campaign making checkpointed progress again".
-///   Swept across injected disk-fault rates, driving each campaign to
-///   completion to count abandoned checkpoint flushes along the way.
-/// - **Quarantine**: sweep the seeded sabotage panic rate through an
-///   otherwise identical campaign and time run + merge. Poison jobs cost
-///   their retries (bounded attempts with millisecond backoff) and a
-///   quarantine-ledger rebuild at merge; the overhead column is that cost
-///   as a ratio over the clean baseline.
-///
-/// `quick` shrinks the campaigns and drops a sweep point for CI smoke.
-pub fn robust_service(quick: bool) -> RobustServiceBench {
-    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore, FaultFs};
-    use mavr_fleet::JobChaos;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let boards = if quick { 16 } else { 64 };
-    let (warmup, flight) = (40_000u64, 60_000u64);
-    let shard_jobs = 4u64;
-    let root = std::env::temp_dir()
-        .join("mavr-robust-bench")
-        .join(std::process::id().to_string());
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("bench scratch dir");
-
-    let spec_named = |name: &str| {
-        let mut spec = CampaignSpec::named(name);
-        spec.boards = boards;
-        spec.scenarios = vec![mavr_fleet::Scenario::Benign];
-        spec.warmup_cycles = warmup;
-        spec.attack_cycles = flight;
-        spec.shard_jobs = shard_jobs;
-        spec
-    };
-    let session = |store: CampaignStore| {
-        CampaignSession::new(
-            store,
-            telemetry::Telemetry::off(),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .expect("session")
-    };
-
-    let fault_rates: &[f64] = if quick {
-        &[0.0, 0.5]
-    } else {
-        &[0.0, 0.25, 0.5]
-    };
-    let recovery = fault_rates
-        .iter()
-        .map(|&rate| {
-            let name = format!("mttr-{}", (rate * 100.0) as u32);
-            let faults = if rate == 0.0 {
-                FaultFs::none()
-            } else {
-                FaultFs::seeded(0x0DD5_EED0 + (rate * 100.0) as u64, rate)
-            };
-            let store = CampaignStore::create(&root, spec_named(&name))
-                .expect("create campaign")
-                .with_faults(faults.clone());
-            // The doomed first process: half the campaign, then gone. A
-            // dropped session and a SIGKILLed one leave the same disk.
-            let doomed = session(store);
-            doomed.run(Some(boards / 2), None).expect("partial run");
-            drop(doomed);
-
-            let t0 = std::time::Instant::now();
-            let store = CampaignStore::open(&root.join(&name))
-                .expect("reopen campaign")
-                .with_faults(faults);
-            let resumed = session(store);
-            resumed.run(Some(1), None).expect("one-job resume slice");
-            let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-            // Drive to completion under the same fault rate: skipped
-            // checkpoints re-run their slices, so this always converges.
-            let mut slices = 1u64;
-            loop {
-                let out = resumed.run(None, None).expect("resume slice");
-                slices += 1;
-                if out.complete {
-                    break;
-                }
-                assert!(slices < 10_000, "campaign failed to converge under faults");
-            }
-            RobustRecoveryRow {
-                store_fault_rate: rate,
-                mttr_ms,
-                checkpoints_skipped: resumed.checkpoints_skipped(),
-                slices_to_complete: slices,
-            }
-        })
-        .collect();
-
-    // Poison jobs panic on purpose (caught by the supervisor); silence
-    // the default hook so the sweep times supervision, not stderr.
-    let prior_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let panic_rates: &[f64] = if quick {
-        &[0.0, 0.1]
-    } else {
-        &[0.0, 0.05, 0.1]
-    };
-    let quarantine = panic_rates
-        .iter()
-        .map(|&rate| {
-            let name = format!("poison-{}", (rate * 1000.0) as u32);
-            let mut spec = spec_named(&name);
-            spec.sabotage = JobChaos {
-                panic_rate: rate,
-                hang_rate: 0.0,
-                flaky_rate: 0.0,
-                seed: 0x0BAD_5EED,
-            };
-            let sess = session(CampaignStore::create(&root, spec).expect("create campaign"));
-            let t0 = std::time::Instant::now();
-            let out = sess.run(None, None).expect("poison campaign");
-            assert!(out.complete, "a poisoned campaign still completes");
-            merge_store(&sess.store).expect("merge campaign");
-            let secs = t0.elapsed().as_secs_f64();
-            let quarantined = std::fs::read_to_string(sess.store.quarantine_path())
-                .map_or(0, |text| text.lines().count() as u64);
-            RobustQuarantineRow {
-                panic_rate: rate,
-                quarantined,
-                secs,
-            }
-        })
-        .collect();
-    std::panic::set_hook(prior_hook);
-
-    let _ = std::fs::remove_dir_all(&root);
-    RobustServiceBench {
-        recovery,
-        quarantine,
-        boards,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One fault-rate point of the chaos-resilience sweep. All counts are
-/// summed over the cell's boards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosBenchRow {
-    /// Fault-injection rate of the cell.
-    pub fault: f64,
-    /// Boards flown at this rate.
-    pub boards: usize,
-    /// Reflash retries the masters burned (container re-reads, full-stream
-    /// retries, page repairs).
-    pub reflash_retries: u64,
-    /// Boots that fell back to the last-known-good image.
-    pub degraded_boots: u64,
-    /// Boards that exhausted every retry and the degraded fallback.
-    pub boards_bricked: usize,
-    /// Boards that detected and recovered from the attack at least once.
-    pub boards_recovered: usize,
-    /// Mean cycles from injection to detection, over recovered boards.
-    pub mttr_cycles: Option<f64>,
-}
-
-/// Measured recovery-pipeline resilience under a fault-rate sweep. See
-/// [`chaos_resilience`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosResilience {
-    /// One row per fault rate, clean baseline first.
-    pub rows: Vec<ChaosBenchRow>,
-    /// Campaign seed the sweep ran under.
-    pub seed: u64,
-    /// Boards per fault-rate cell.
-    pub boards_per_cell: usize,
-}
-
-impl ChaosResilience {
-    /// `MTTR(rate) / MTTR(0)` for the highest fault rate where both are
-    /// defined — how much the injected faults stretch detection-to-reflash
-    /// recovery.
-    pub fn mttr_inflation(&self) -> Option<f64> {
-        let base = self.rows.first()?.mttr_cycles?;
-        self.rows
-            .iter()
-            .rev()
-            .find_map(|r| r.mttr_cycles)
-            .map(|m| m / base)
-    }
-
-    /// The `BENCH_chaos.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        let base_mttr = self.rows.first().and_then(|r| r.mttr_cycles);
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mttr = r
-                    .mttr_cycles
-                    .map_or("null".to_string(), |m| format!("{m:.1}"));
-                let inflation = match (base_mttr, r.mttr_cycles) {
-                    (Some(b), Some(m)) => format!("{:.3}", m / b),
-                    _ => "null".to_string(),
-                };
-                format!(
-                    "    {{\"fault\": {}, \"boards\": {}, \"reflash_retries\": {}, \
-                     \"retry_rate\": {:.4}, \"degraded_boots\": {}, \
-                     \"boards_bricked\": {}, \"brick_rate\": {:.4}, \
-                     \"boards_recovered\": {}, \"mttr_cycles\": {}, \
-                     \"mttr_inflation\": {}}}",
-                    r.fault,
-                    r.boards,
-                    r.reflash_retries,
-                    r.reflash_retries as f64 / r.boards.max(1) as f64,
-                    r.degraded_boots,
-                    r.boards_bricked,
-                    r.boards_bricked as f64 / r.boards.max(1) as f64,
-                    r.boards_recovered,
-                    mttr,
-                    inflation,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"chaos_resilience/v1-crash\",\n  \"seed\": {},\n  \"boards_per_cell\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.seed, self.boards_per_cell, rows
-        )
-    }
-}
-
-/// Sweep fault-injection rates through a V1 (loud crash) fleet campaign
-/// and measure what the hardened recovery pipeline does with them: reflash
-/// retries, degraded boots, bricks, and MTTR inflation versus the clean
-/// baseline. Whether a crashed ROP chain actually silences the heartbeat
-/// is layout-dependent (wild execution can keep interrupts alive), so the
-/// campaign seed is chosen for a fleet where most baseline boards detect —
-/// that keeps the MTTR column defined, and the engine seed-matches boards
-/// across the fault axis, so the comparison is the *same* fleet under
-/// different chaos. Fully deterministic (it is a fleet campaign); `quick`
-/// shrinks the fleet for CI smoke runs.
-pub fn chaos_resilience(quick: bool) -> ChaosResilience {
-    use mavr_fleet::{run_campaign, CampaignConfig, Scenario};
-    let boards = if quick { 2 } else { 8 };
-    let cfg = CampaignConfig {
-        seed: 6,
-        boards,
-        scenarios: vec![Scenario::V1Crash],
-        loss_levels: vec![0.0],
-        fault_levels: vec![0.0, 0.00005, 0.0001, 0.0002, 0.0005],
-        attack_cycles: if quick { 3_000_000 } else { 6_000_000 },
-        ..CampaignConfig::default()
-    };
-    let report = run_campaign(&cfg);
-    let rows = report
-        .cells
-        .iter()
-        .map(|c| ChaosBenchRow {
-            fault: c.fault,
-            boards: c.boards,
-            reflash_retries: c.reflash_retries,
-            degraded_boots: c.degraded_boots,
-            boards_bricked: c.boards_bricked,
-            boards_recovered: c.boards_recovered,
-            mttr_cycles: c.mean_time_to_recovery(),
-        })
-        .collect();
-    ChaosResilience {
-        rows,
-        seed: cfg.seed,
-        boards_per_cell: boards,
-    }
-}
-
-/// Measured cost of persisting machine state as a full snapshot vs a
-/// dirty-page delta against a recent keyframe. See [`snapshot_cost`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotCost {
-    /// Median size of a full snapshot blob, bytes.
-    pub full_bytes: usize,
-    /// Median size of a delta blob taken `delta_gap_cycles` after its
-    /// keyframe, bytes.
-    pub delta_bytes: usize,
-    /// Median wall-clock cost of a full snapshot (state capture + encode),
-    /// microseconds.
-    pub full_encode_us: f64,
-    /// Median wall-clock cost of a delta encode, microseconds.
-    pub delta_encode_us: f64,
-    /// Cycles run between keyframe and delta.
-    pub delta_gap_cycles: u64,
-    /// Samples the medians were taken over.
-    pub samples: usize,
-}
-
-impl SnapshotCost {
-    /// `full_bytes / delta_bytes` — the size factor deltas buy.
-    pub fn bytes_ratio(&self) -> f64 {
-        self.full_bytes as f64 / self.delta_bytes as f64
-    }
-
-    /// `full_encode_us / delta_encode_us` — the time factor deltas buy.
-    pub fn time_ratio(&self) -> f64 {
-        self.full_encode_us / self.delta_encode_us
-    }
-
-    /// The `BENCH_snapshot.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"snapshot_cost/tiny_firmware\",\n  \"samples\": {},\n  \"delta_gap_cycles\": {},\n  \"full_bytes\": {},\n  \"delta_bytes\": {},\n  \"full_encode_us\": {:.1},\n  \"delta_encode_us\": {:.1},\n  \"bytes_ratio\": {:.1},\n  \"time_ratio\": {:.1}\n}}\n",
-            self.samples,
-            self.delta_gap_cycles,
-            self.full_bytes,
-            self.delta_bytes,
-            self.full_encode_us,
-            self.delta_encode_us,
-            self.bytes_ratio(),
-            self.time_ratio()
-        )
-    }
-}
-
-/// Measure full-vs-delta snapshot cost on a flying tiny firmware: per
-/// sample, take a keyframe, fly `10_000` more cycles, then time (a) a full
-/// snapshot — state capture plus wire encode — and (b) a dirty-page delta
-/// encode against the keyframe. Every delta is verified to reconstruct the
-/// full state bit-for-bit before its timing counts. `quick` = fewer
-/// samples, for CI smoke.
-pub fn snapshot_cost(quick: bool) -> SnapshotCost {
-    use mavr_snapshot::{apply_machine_delta, encode_machine, encode_machine_delta};
-    const GAP: u64 = 10_000;
-    let samples = if quick { 5 } else { 25 };
-    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
-    let mut m = avr_sim::Machine::new_atmega2560();
-    m.load_flash(0, &fw.image.bytes);
-    m.run(300_000);
-    assert!(m.fault().is_none(), "bench firmware crashed");
-
-    let mut full_sizes = Vec::with_capacity(samples);
-    let mut delta_sizes = Vec::with_capacity(samples);
-    let mut full_times = Vec::with_capacity(samples);
-    let mut delta_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(GAP);
-        let t0 = std::time::Instant::now();
-        let full = encode_machine(&m.capture_state());
-        full_times.push(t0.elapsed().as_secs_f64() * 1e6);
-        let t0 = std::time::Instant::now();
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        delta_times.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(
-            apply_machine_delta(&keyframe, &delta).expect("delta applies"),
-            m.capture_state(),
-            "delta must reconstruct the full state"
-        );
-        full_sizes.push(full.len());
-        delta_sizes.push(delta.len());
-    }
-    let median_usize = |v: &mut Vec<usize>| {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let median_f64 = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    SnapshotCost {
-        full_bytes: median_usize(&mut full_sizes),
-        delta_bytes: median_usize(&mut delta_sizes),
-        full_encode_us: median_f64(&mut full_times),
-        delta_encode_us: median_f64(&mut delta_times),
-        delta_gap_cycles: GAP,
-        samples,
-    }
-}
-
-/// Measured cost of the observability plane: simulator overhead of an
-/// attached (null) recorder, metrics record/merge throughput and
-/// exposition cost. See [`telemetry_overhead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryBench {
-    /// Simulated cycles/sec with telemetry off — the baseline.
-    pub off_cycles_per_sec: f64,
-    /// Simulated cycles/sec with a `NullRecorder` attached (events
-    /// counted, then discarded).
-    pub null_recorder_cycles_per_sec: f64,
-    /// Raw `QuantileSketch::record` calls per second.
-    pub sketch_records_per_sec: f64,
-    /// `MetricsRegistry::observe_histogram` calls per second — the
-    /// labeled-lookup path the fleet fold takes per packet count.
-    pub histogram_records_per_sec: f64,
-    /// Registry shard merges per second on the reference registry.
-    pub merges_per_sec: f64,
-    /// Prometheus text expositions per second of the reference registry.
-    pub prometheus_per_sec: f64,
-    /// JSONL expositions per second of the reference registry.
-    pub jsonl_per_sec: f64,
-    /// Series in the reference registry the merge/exposition rows use.
-    pub series: usize,
-    /// Samples per measurement the medians were taken over.
-    pub samples: usize,
-}
-
-impl TelemetryBench {
-    /// Percent slowdown of the simulator when a null recorder is
-    /// attached (the "instrumentation on, sink off" configuration).
-    pub fn null_recorder_overhead_pct(&self) -> f64 {
-        100.0 * (self.off_cycles_per_sec / self.null_recorder_cycles_per_sec - 1.0)
-    }
-
-    /// The `BENCH_telemetry.json` payload (hand-rolled; the workspace has
-    /// no JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"telemetry_overhead/tiny_firmware\",\n  \"samples\": {},\n  \"series\": {},\n  \"off_cycles_per_sec\": {:.0},\n  \"null_recorder_cycles_per_sec\": {:.0},\n  \"null_recorder_overhead_pct\": {:.2},\n  \"sketch_records_per_sec\": {:.0},\n  \"histogram_records_per_sec\": {:.0},\n  \"merges_per_sec\": {:.0},\n  \"prometheus_per_sec\": {:.0},\n  \"jsonl_per_sec\": {:.0}\n}}\n",
-            self.samples,
-            self.series,
-            self.off_cycles_per_sec,
-            self.null_recorder_cycles_per_sec,
-            self.null_recorder_overhead_pct(),
-            self.sketch_records_per_sec,
-            self.histogram_records_per_sec,
-            self.merges_per_sec,
-            self.prometheus_per_sec,
-            self.jsonl_per_sec,
-        )
-    }
-}
-
-/// A reference registry shaped like one worker shard of a real campaign:
-/// `cells` label combinations, each with the fold's counters, a latency
-/// sketch and a packet histogram.
-fn reference_registry(cells: usize, seed: u64) -> telemetry::metrics::MetricsRegistry {
-    let mut reg = telemetry::metrics::MetricsRegistry::new();
-    let mut x = seed;
-    let mut next = || {
-        // splitmix64, the workspace's standard seed deriver.
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for cell in 0..cells {
-        let loss = format!("{:.4}", cell as f64 * 0.01);
-        let labels = [("scenario", "bench"), ("loss", loss.as_str())];
-        reg.add_counter("campaign_boards_total", &labels, 8);
-        reg.add_counter("recoveries_total", &labels, next() % 8);
-        reg.add_counter("sim_cycles_total", &labels, next() % 1_000_000);
-        for _ in 0..64 {
-            reg.observe_sketch(
-                "campaign_detection_latency_cycles",
-                &labels,
-                next() % 2_000_000,
-            );
-            reg.observe_histogram("campaign_packets_per_board", &labels, next() % 4096);
-        }
-    }
-    reg
-}
-
-/// Measure the observability plane: (a) simulator throughput with
-/// telemetry off vs a `NullRecorder` attached, on the flying tiny
-/// firmware; (b) raw sketch-record and labeled histogram-record rates;
-/// (c) shard-merge and exposition rates on a campaign-shaped reference
-/// registry. Medians over a few samples each; `quick` shortens everything
-/// for CI smoke.
-pub fn telemetry_overhead(quick: bool) -> TelemetryBench {
-    use std::hint::black_box;
-    use telemetry::metrics::{MetricsRegistry, QuantileSketch};
-    use telemetry::{NullRecorder, Telemetry};
-
-    let samples = if quick { 3 } else { 9 };
-    let sim_cycles: u64 = if quick { 300_000 } else { 1_000_000 };
-    let ops: u64 = if quick { 200_000 } else { 2_000_000 };
-    let cells = 12;
-
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    // Median seconds of `f`, which returns a value kept live via black_box.
-    let time_median = |f: &mut dyn FnMut() -> u64| -> f64 {
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        median(&mut times)
-    };
-
-    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
-    let sim_secs = |telemetry_on: bool| -> f64 {
-        time_median(&mut || {
-            let mut m = avr_sim::Machine::new_atmega2560();
-            if telemetry_on {
-                m.telemetry = Telemetry::new(NullRecorder::default());
-            }
-            m.load_flash(0, &fw.image.bytes);
-            m.run(sim_cycles);
-            assert!(m.fault().is_none(), "bench firmware crashed");
-            m.cycles()
-        })
-    };
-    let off_secs = sim_secs(false);
-    let null_secs = sim_secs(true);
-
-    let sketch_secs = time_median(&mut || {
-        let mut s = QuantileSketch::new();
-        for v in 0..ops {
-            // Cheap LCG so the timed loop is the record call, not the RNG.
-            s.record(v.wrapping_mul(6364136223846793005).wrapping_add(1) % 4_000_000);
-        }
-        s.count()
-    });
-    let histogram_secs = time_median(&mut || {
-        let mut reg = MetricsRegistry::new();
-        let labels = [("scenario", "bench"), ("loss", "0.0000")];
-        for v in 0..ops {
-            reg.observe_histogram("campaign_packets_per_board", &labels, v % 4096);
-        }
-        reg.len() as u64
-    });
-
-    let shard = reference_registry(cells, 0x2015);
-    let series = shard.len();
-    let merge_rounds: u64 = if quick { 200 } else { 2_000 };
-    let merge_secs = time_median(&mut || {
-        let mut acc = MetricsRegistry::new();
-        for _ in 0..merge_rounds {
-            acc.merge(black_box(&shard));
-        }
-        acc.len() as u64
-    });
-    let expo_rounds: u64 = if quick { 200 } else { 2_000 };
-    let prom_secs = time_median(&mut || {
-        let mut bytes = 0u64;
-        for _ in 0..expo_rounds {
-            bytes += black_box(shard.to_prometheus()).len() as u64;
-        }
-        bytes
-    });
-    let jsonl_secs = time_median(&mut || {
-        let mut bytes = 0u64;
-        for _ in 0..expo_rounds {
-            bytes += black_box(shard.to_jsonl()).len() as u64;
-        }
-        bytes
-    });
-
-    TelemetryBench {
-        off_cycles_per_sec: sim_cycles as f64 / off_secs,
-        null_recorder_cycles_per_sec: sim_cycles as f64 / null_secs,
-        sketch_records_per_sec: ops as f64 / sketch_secs,
-        histogram_records_per_sec: ops as f64 / histogram_secs,
-        merges_per_sec: merge_rounds as f64 / merge_secs,
-        prometheus_per_sec: expo_rounds as f64 / prom_secs,
-        jsonl_per_sec: expo_rounds as f64 / jsonl_secs,
-        series,
-        samples,
-    }
 }
 
 /// **Fig. 2** — encode a minimum packet and describe its structure.
@@ -1467,52 +449,716 @@ pub fn fig6(spec: &AppSpec) -> Vec<StackSnapshot> {
     snaps
 }
 
-/// Measured cost of closing the physical loop: the same provisioned
+/// Min, median and max of one arm's timed samples, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    /// Fastest sample — the headline: noise only ever adds time.
+    min: f64,
+    /// Median sample.
+    median: f64,
+    /// Slowest sample.
+    max: f64,
+}
+
+/// Seconds `f` takes. Its result stays live through `black_box`, so the
+/// optimizer cannot drop the work being timed.
+fn secs<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = std::time::Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+/// The one timing method every bench uses. Each arm returns the seconds of
+/// its own timed region (via `secs`), so per-sample setup stays outside
+/// the clock. One warm-up round runs and is discarded; then `samples`
+/// rounds run the arms round-robin, so load drift on a shared host spreads
+/// over every arm instead of landing on whichever runs first.
+fn time_arms<const N: usize>(
+    samples: usize,
+    mut arms: [&mut dyn FnMut() -> f64; N],
+) -> [Spread; N] {
+    for arm in arms.iter_mut() {
+        arm();
+    }
+    let mut times = [(); N].map(|_| Vec::with_capacity(samples));
+    for _ in 0..samples {
+        for (arm, t) in arms.iter_mut().zip(&mut times) {
+            t.push(arm());
+        }
+    }
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        Spread {
+            min: t[0],
+            median: t[t.len() / 2],
+            max: t[t.len() - 1],
+        }
+    })
+}
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A measured quantity as a JSON number: four significant digits (integer
+/// parts keep every digit), or `null` when not finite.
+fn real(v: f64) -> Json {
+    if !v.is_finite() {
+        return Json::Null;
+    }
+    let decimals = if v == 0.0 {
+        0
+    } else {
+        (3 - v.abs().log10().floor() as i32).max(0) as usize
+    };
+    Json::Num(format!("{v:.decimals$}"))
+}
+
+/// A record's `spread` object: `[min, median, max]` seconds per arm.
+fn spread(samples: usize, arms: &[(&str, Spread)]) -> Json {
+    let mut fields = vec![
+        ("samples", Json::num(samples as u64)),
+        ("unit", Json::str("s")),
+    ];
+    fields.extend(arms.iter().map(|&(name, s)| {
+        (
+            name,
+            Json::Arr(vec![real(s.min), real(s.median), real(s.max)]),
+        )
+    }));
+    obj(fields)
+}
+
+/// Trimmed stdout of `cmd args`, or `"unknown"` when it cannot run.
+fn command_line(cmd: &str, args: &[&str]) -> Json {
+    let out = std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty());
+    Json::str(out.unwrap_or_else(|| "unknown".to_string()))
+}
+
+/// `record` with the `host` stamp appended: cores, `rustc -V`, the
+/// checked-out commit and whether this was a quick run. Numbers from two
+/// hosts are not comparable, so every BENCH file says which host it is.
+fn stamp(record: Json, quick: bool) -> Json {
+    let Json::Obj(mut fields) = record else {
+        panic!("a bench record is a JSON object");
+    };
+    let nproc = std::thread::available_parallelism()
+        .map_or_else(|_| Json::str("unknown"), |n| Json::num(n.get() as u64));
+    let host = obj(vec![
+        ("nproc", nproc),
+        ("rustc", command_line("rustc", &["-V"])),
+        ("commit", command_line("git", &["rev-parse", "HEAD"])),
+        ("quick", Json::Bool(quick)),
+    ]);
+    fields.push(("host".to_string(), host));
+    Json::Obj(fields)
+}
+
+/// Write `BENCH_<name>.json` in the working directory: the host-stamped
+/// record on one line. Returns the path written.
+pub fn write_bench(name: &str, record: Json, quick: bool) -> std::io::Result<String> {
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, stamp(record, quick).to_text() + "\n")?;
+    Ok(path)
+}
+
+/// Simulator throughput (simulated cycles per second of host time) on
+/// 1M cycles of the tiny firmware, across the three-tier engine chain:
+/// decode-every-fetch (`uncached`), the predecode cache and fast run loop
+/// (`predecoded`), and block-fused dispatch (`block_fused`, the default).
+/// `quick` takes fewer samples, for CI smoke.
+pub fn simulator_throughput(quick: bool) -> Json {
+    const CYCLES: u64 = 1_000_000;
+    let samples = if quick { 3 } else { 11 };
+    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
+    let bytes = &fw.image.bytes;
+    let leg = |predecode: bool, fusion: bool| {
+        move || {
+            let mut m = avr_sim::Machine::new_atmega2560();
+            m.set_predecode(predecode);
+            m.set_block_fusion(fusion);
+            m.load_flash(0, bytes);
+            let dt = secs(|| m.run(CYCLES));
+            assert!(m.fault().is_none(), "bench firmware crashed");
+            dt
+        }
+    };
+    let [uncached, predecoded, fused] = time_arms(
+        samples,
+        [
+            &mut leg(false, false),
+            &mut leg(true, false),
+            &mut leg(true, true),
+        ],
+    );
+    let rate = |s: Spread| real(CYCLES as f64 / s.min);
+    obj(vec![
+        ("bench", Json::str("run_1M_cycles/tiny_firmware")),
+        ("unit", Json::str("cycles_per_sec")),
+        ("uncached", rate(uncached)),
+        ("predecoded", rate(predecoded)),
+        ("block_fused", rate(fused)),
+        ("predecode_speedup", real(uncached.min / predecoded.min)),
+        ("fusion_speedup", real(predecoded.min / fused.min)),
+        ("total_speedup", real(uncached.min / fused.min)),
+        (
+            "spread",
+            spread(
+                samples,
+                &[
+                    ("uncached", uncached),
+                    ("predecoded", predecoded),
+                    ("block_fused", fused),
+                ],
+            ),
+        ),
+    ])
+}
+
+/// Process peak resident set (`VmHWM`) in MiB, from `/proc/self/status`;
+/// 0.0 where the file does not exist (non-Linux).
+pub fn peak_rss_mb() -> f64 {
+    let Ok(text) = std::fs::read_to_string("/proc/self/status") else {
+        return 0.0;
+    };
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: f64 = rest
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .unwrap_or(0.0);
+            return kb / 1024.0;
+        }
+    }
+    0.0
+}
+
+/// Measure the campaign service end to end — shard execution, per-board
+/// JSONL streaming, checkpoint flushes, and the two-pass report merge —
+/// at campaign sizes spanning two orders of magnitude, recording peak RSS
+/// after each. Because shard outcomes stream to disk and metrics fold
+/// through the registry merge, the peak-RSS column stays flat as the
+/// board count grows 100x: the service's memory is O(shard), not
+/// O(campaign). `rss_growth` is largest-over-smallest peak RSS. `quick`
+/// caps the largest campaign for CI smoke runs. Each size is one sample:
+/// sizes run smallest-first because `VmHWM` is monotonic, so a flat column
+/// proves the big campaigns allocated no more than the small ones.
+pub fn campaignd_memory(quick: bool) -> Json {
+    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let sizes: &[usize] = if quick {
+        &[100, 1_000, 10_000]
+    } else {
+        &[1_000, 10_000, 100_000]
+    };
+    // Short flights: the point is service overhead and memory, not
+    // simulated-cycle throughput (campaignbench's `tiny-flight` and
+    // `plane-provision` workloads cover that).
+    let (warmup, flight) = (40_000u64, 60_000u64);
+    let shard_jobs = 256u64;
+    let root = std::env::temp_dir()
+        .join("mavr-campaignd-bench")
+        .join(std::process::id().to_string());
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("bench scratch dir");
+
+    let mut rss = Vec::new();
+    let rows = sizes
+        .iter()
+        .map(|&boards| {
+            let mut spec = CampaignSpec::named(&format!("bench-{boards}"));
+            spec.boards = boards;
+            spec.scenarios = vec![mavr_fleet::Scenario::Benign];
+            spec.warmup_cycles = warmup;
+            spec.attack_cycles = flight;
+            spec.shard_jobs = shard_jobs;
+            let store = CampaignStore::create(&root, spec).expect("create campaign");
+            let session = CampaignSession::new(
+                store,
+                telemetry::Telemetry::off(),
+                Arc::new(AtomicBool::new(false)),
+            )
+            .expect("session");
+            let secs = secs(|| {
+                let outcome = session.run(None, None).expect("run campaign");
+                assert!(outcome.complete, "bench campaign ran to completion");
+                merge_store(&session.store).expect("merge campaign");
+            });
+            let rss_mb = peak_rss_mb();
+            rss.push(rss_mb);
+            obj(vec![
+                ("boards", Json::num(boards as u64)),
+                ("secs", real(secs)),
+                ("jobs_per_sec", real(boards as f64 / secs)),
+                ("peak_rss_mb", real(rss_mb)),
+            ])
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+    let rss_growth = match (rss.first(), rss.last()) {
+        (Some(&a), Some(&b)) if a > 0.0 => b / a,
+        _ => 1.0,
+    };
+    obj(vec![
+        ("bench", Json::str("campaignd/sharded_benign")),
+        ("unit", Json::str("jobs_per_sec")),
+        ("shard_jobs", Json::num(shard_jobs)),
+        ("cycles_per_board", Json::num(warmup + flight)),
+        ("rss_growth", real(rss_growth)),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// Measure the campaign service's supervision machinery end to end.
+///
+/// Two sweeps, both fully deterministic (seeded fault draws, seeded
+/// sabotage fates), one sample per point:
+///
+/// - **Recovery**: run half a campaign, drop the session cold (the
+///   in-process stand-in for SIGKILL — the on-disk state is identical),
+///   then time store reopen + session rebuild + a one-job resume slice.
+///   That is the service's MTTR: how long a supervisor waits between
+///   "process gone" and "campaign making checkpointed progress again".
+///   Swept across injected disk-fault rates, driving each campaign to
+///   completion to count abandoned checkpoint flushes along the way.
+///   `worst_mttr_ms` is the slowest point — the MTTR the CI gate bounds.
+/// - **Quarantine**: sweep the seeded sabotage panic rate through an
+///   otherwise identical campaign and time run + merge. Poison jobs cost
+///   their retries (bounded attempts with millisecond backoff) and a
+///   quarantine-ledger rebuild at merge; `overhead` is that cost as a
+///   ratio over the clean baseline, and `quarantine_overhead` is the
+///   overhead at the top rate.
+///
+/// `quick` shrinks the campaigns and drops a sweep point for CI smoke.
+pub fn robust_service(quick: bool) -> Json {
+    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore, FaultFs};
+    use mavr_fleet::JobChaos;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let boards = if quick { 16 } else { 64 };
+    let (warmup, flight) = (40_000u64, 60_000u64);
+    let shard_jobs = 4u64;
+    let root = std::env::temp_dir()
+        .join("mavr-robust-bench")
+        .join(std::process::id().to_string());
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("bench scratch dir");
+
+    let spec_named = |name: &str| {
+        let mut spec = CampaignSpec::named(name);
+        spec.boards = boards;
+        spec.scenarios = vec![mavr_fleet::Scenario::Benign];
+        spec.warmup_cycles = warmup;
+        spec.attack_cycles = flight;
+        spec.shard_jobs = shard_jobs;
+        spec
+    };
+    let session = |store: CampaignStore| {
+        CampaignSession::new(
+            store,
+            telemetry::Telemetry::off(),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .expect("session")
+    };
+
+    let fault_rates: &[f64] = if quick {
+        &[0.0, 0.5]
+    } else {
+        &[0.0, 0.25, 0.5]
+    };
+    let mut worst_mttr_ms = 0.0f64;
+    let recovery = fault_rates
+        .iter()
+        .map(|&rate| {
+            let name = format!("mttr-{}", (rate * 100.0) as u32);
+            let faults = if rate == 0.0 {
+                FaultFs::none()
+            } else {
+                FaultFs::seeded(0x0DD5_EED0 + (rate * 100.0) as u64, rate)
+            };
+            let store = CampaignStore::create(&root, spec_named(&name))
+                .expect("create campaign")
+                .with_faults(faults.clone());
+            // The doomed first process: half the campaign, then gone. A
+            // dropped session and a SIGKILLed one leave the same disk.
+            let doomed = session(store);
+            doomed.run(Some(boards / 2), None).expect("partial run");
+            drop(doomed);
+
+            let t0 = std::time::Instant::now();
+            let store = CampaignStore::open(&root.join(&name))
+                .expect("reopen campaign")
+                .with_faults(faults);
+            let resumed = session(store);
+            resumed.run(Some(1), None).expect("one-job resume slice");
+            let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
+            worst_mttr_ms = worst_mttr_ms.max(mttr_ms);
+
+            // Drive to completion under the same fault rate: skipped
+            // checkpoints re-run their slices, so this always converges.
+            let mut slices = 1u64;
+            loop {
+                let out = resumed.run(None, None).expect("resume slice");
+                slices += 1;
+                if out.complete {
+                    break;
+                }
+                assert!(slices < 10_000, "campaign failed to converge under faults");
+            }
+            obj(vec![
+                ("store_fault_rate", Json::float(rate)),
+                ("mttr_ms", real(mttr_ms)),
+                (
+                    "checkpoints_skipped",
+                    Json::num(resumed.checkpoints_skipped()),
+                ),
+                ("slices_to_complete", Json::num(slices)),
+            ])
+        })
+        .collect();
+
+    // Poison jobs panic on purpose (caught by the supervisor); silence
+    // the default hook so the sweep times supervision, not stderr.
+    let prior_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let panic_rates: &[f64] = if quick {
+        &[0.0, 0.1]
+    } else {
+        &[0.0, 0.05, 0.1]
+    };
+    let mut base_secs = None;
+    let mut overhead = 1.0;
+    let quarantine = panic_rates
+        .iter()
+        .map(|&rate| {
+            let name = format!("poison-{}", (rate * 1000.0) as u32);
+            let mut spec = spec_named(&name);
+            spec.sabotage = JobChaos {
+                panic_rate: rate,
+                hang_rate: 0.0,
+                flaky_rate: 0.0,
+                seed: 0x0BAD_5EED,
+            };
+            let sess = session(CampaignStore::create(&root, spec).expect("create campaign"));
+            let secs = secs(|| {
+                let out = sess.run(None, None).expect("poison campaign");
+                assert!(out.complete, "a poisoned campaign still completes");
+                merge_store(&sess.store).expect("merge campaign");
+            });
+            let quarantined = std::fs::read_to_string(sess.store.quarantine_path())
+                .map_or(0, |text| text.lines().count() as u64);
+            overhead = secs / *base_secs.get_or_insert(secs);
+            obj(vec![
+                ("panic_rate", Json::float(rate)),
+                ("quarantined", Json::num(quarantined)),
+                ("secs", real(secs)),
+                ("overhead", real(overhead)),
+            ])
+        })
+        .collect();
+    std::panic::set_hook(prior_hook);
+
+    let _ = std::fs::remove_dir_all(&root);
+    obj(vec![
+        ("bench", Json::str("campaignd/robust_service")),
+        ("boards", Json::num(boards as u64)),
+        ("cycles_per_board", Json::num(warmup + flight)),
+        ("worst_mttr_ms", real(worst_mttr_ms)),
+        ("quarantine_overhead", real(overhead)),
+        ("recovery", Json::Arr(recovery)),
+        ("quarantine", Json::Arr(quarantine)),
+    ])
+}
+
+/// Sweep fault-injection rates through a V1 (loud crash) fleet campaign
+/// and measure what the hardened recovery pipeline does with them: reflash
+/// retries, degraded boots, bricks, and MTTR inflation versus the clean
+/// baseline (`mttr_inflation`, top-level at the highest rate where both
+/// are defined). Whether a crashed ROP chain actually silences the
+/// heartbeat is layout-dependent (wild execution can keep interrupts
+/// alive), so the campaign seed is chosen for a fleet where most baseline
+/// boards detect — that keeps the MTTR column defined, and the engine
+/// seed-matches boards across the fault axis, so the comparison is the
+/// *same* fleet under different chaos. Fully deterministic (it is a fleet
+/// campaign); `quick` shrinks the fleet for CI smoke runs.
+pub fn chaos_resilience(quick: bool) -> Json {
+    use mavr_fleet::{run_campaign, CampaignConfig, Scenario};
+    let boards = if quick { 2 } else { 8 };
+    let cfg = CampaignConfig {
+        seed: 6,
+        boards,
+        scenarios: vec![Scenario::V1Crash],
+        loss_levels: vec![0.0],
+        fault_levels: vec![0.0, 0.00005, 0.0001, 0.0002, 0.0005],
+        attack_cycles: if quick { 3_000_000 } else { 6_000_000 },
+        ..CampaignConfig::default()
+    };
+    let report = run_campaign(&cfg);
+    let base_mttr = report.cells.first().and_then(|c| c.mean_time_to_recovery());
+    let inflation = |mttr: Option<f64>| base_mttr.zip(mttr).map(|(b, m)| m / b);
+    let rows = report
+        .cells
+        .iter()
+        .map(|c| {
+            let per_board = |n: f64| real(n / c.boards.max(1) as f64);
+            let mttr = c.mean_time_to_recovery();
+            obj(vec![
+                ("fault", Json::float(c.fault)),
+                ("boards", Json::num(c.boards as u64)),
+                ("reflash_retries", Json::num(c.reflash_retries)),
+                ("retry_rate", per_board(c.reflash_retries as f64)),
+                ("degraded_boots", Json::num(c.degraded_boots)),
+                ("boards_bricked", Json::num(c.boards_bricked as u64)),
+                ("brick_rate", per_board(c.boards_bricked as f64)),
+                ("boards_recovered", Json::num(c.boards_recovered as u64)),
+                ("mttr_cycles", mttr.map_or(Json::Null, real)),
+                ("mttr_inflation", inflation(mttr).map_or(Json::Null, real)),
+            ])
+        })
+        .collect();
+    let top_mttr = report
+        .cells
+        .iter()
+        .rev()
+        .find_map(|c| c.mean_time_to_recovery());
+    obj(vec![
+        ("bench", Json::str("chaos_resilience/v1-crash")),
+        ("seed", Json::num(cfg.seed)),
+        ("boards_per_cell", Json::num(boards as u64)),
+        (
+            "mttr_inflation",
+            inflation(top_mttr).map_or(Json::Null, real),
+        ),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// Measure full-vs-delta snapshot cost on a flying tiny firmware: per
+/// sample, take a keyframe, fly `10_000` more cycles, then time (a) a full
+/// snapshot — state capture plus wire encode — and (b) a dirty-page delta
+/// encode against the keyframe. Every delta is verified to reconstruct the
+/// full state bit-for-bit before its timing counts, which is why this
+/// bench keeps its own paired per-sample loop. Sizes and times are
+/// medians; `bytes_ratio` is deterministic, `time_ratio` is timed.
+/// `quick` = fewer samples, for CI smoke.
+pub fn snapshot_cost(quick: bool) -> Json {
+    use mavr_snapshot::{apply_machine_delta, encode_machine, encode_machine_delta};
+    const GAP: u64 = 10_000;
+    let samples = if quick { 5 } else { 25 };
+    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
+    let mut m = avr_sim::Machine::new_atmega2560();
+    m.load_flash(0, &fw.image.bytes);
+    m.run(300_000);
+    assert!(m.fault().is_none(), "bench firmware crashed");
+
+    let mut full_sizes = Vec::with_capacity(samples);
+    let mut delta_sizes = Vec::with_capacity(samples);
+    let mut full_times = Vec::with_capacity(samples);
+    let mut delta_times = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let keyframe = m.capture_state();
+        m.clear_dirty();
+        m.run(GAP);
+        let mut full = Vec::new();
+        full_times.push(1e6 * secs(|| full = encode_machine(&m.capture_state())));
+        let mut delta = Vec::new();
+        delta_times.push(1e6 * secs(|| delta = encode_machine_delta(&m, keyframe.cycles)));
+        assert_eq!(
+            apply_machine_delta(&keyframe, &delta).expect("delta applies"),
+            m.capture_state(),
+            "delta must reconstruct the full state"
+        );
+        full_sizes.push(full.len() as f64);
+        delta_sizes.push(delta.len() as f64);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (full_bytes, delta_bytes) = (median(full_sizes), median(delta_sizes));
+    let (full_us, delta_us) = (median(full_times), median(delta_times));
+    obj(vec![
+        ("bench", Json::str("snapshot_cost/tiny_firmware")),
+        ("samples", Json::num(samples as u64)),
+        ("delta_gap_cycles", Json::num(GAP)),
+        ("full_bytes", real(full_bytes)),
+        ("delta_bytes", real(delta_bytes)),
+        ("full_encode_us", real(full_us)),
+        ("delta_encode_us", real(delta_us)),
+        ("bytes_ratio", real(full_bytes / delta_bytes)),
+        ("time_ratio", real(full_us / delta_us)),
+    ])
+}
+
+/// A reference registry shaped like one worker shard of a real campaign:
+/// `cells` label combinations, each with the fold's counters, a latency
+/// sketch and a packet histogram.
+fn reference_registry(cells: usize, seed: u64) -> telemetry::metrics::MetricsRegistry {
+    let mut reg = telemetry::metrics::MetricsRegistry::new();
+    let mut x = seed;
+    let mut next = || {
+        // splitmix64, the workspace's standard seed deriver.
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for cell in 0..cells {
+        let loss = format!("{:.4}", cell as f64 * 0.01);
+        let labels = [("scenario", "bench"), ("loss", loss.as_str())];
+        reg.add_counter("campaign_boards_total", &labels, 8);
+        reg.add_counter("recoveries_total", &labels, next() % 8);
+        reg.add_counter("sim_cycles_total", &labels, next() % 1_000_000);
+        for _ in 0..64 {
+            reg.observe_sketch(
+                "campaign_detection_latency_cycles",
+                &labels,
+                next() % 2_000_000,
+            );
+            reg.observe_histogram("campaign_packets_per_board", &labels, next() % 4096);
+        }
+    }
+    reg
+}
+
+/// Measure the observability plane: (a) simulator throughput with
+/// telemetry off vs a `NullRecorder` attached, on the flying tiny
+/// firmware — `null_recorder_overhead_pct` is the slowdown of the
+/// "instrumentation on, sink off" configuration; (b) raw sketch-record and
+/// labeled histogram-record rates; (c) shard-merge and exposition rates on
+/// a campaign-shaped reference registry. The two simulator arms run
+/// round-robin through `time_arms` apart from the five metrics arms: a
+/// simulator arm that follows the allocation-heavy exposition arms runs
+/// ~10% slower, which would read as overhead. `quick` shortens everything
+/// for CI smoke.
+pub fn telemetry_overhead(quick: bool) -> Json {
+    use std::hint::black_box;
+    use telemetry::metrics::{MetricsRegistry, QuantileSketch};
+    use telemetry::{NullRecorder, Telemetry};
+
+    let samples = if quick { 3 } else { 9 };
+    let sim_cycles: u64 = if quick { 300_000 } else { 1_000_000 };
+    let ops: u64 = if quick { 200_000 } else { 2_000_000 };
+    let rounds: u64 = if quick { 200 } else { 2_000 };
+
+    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
+    let bytes = &fw.image.bytes;
+    let sim = |telemetry_on: bool| {
+        move || {
+            let mut m = avr_sim::Machine::new_atmega2560();
+            if telemetry_on {
+                m.telemetry = Telemetry::new(NullRecorder::default());
+            }
+            m.load_flash(0, bytes);
+            let dt = secs(|| m.run(sim_cycles));
+            assert!(m.fault().is_none(), "bench firmware crashed");
+            dt
+        }
+    };
+    let shard = reference_registry(12, 0x2015);
+    let [off, null] = time_arms(samples, [&mut sim(false), &mut sim(true)]);
+    let [sketch, histogram, merge, prometheus, jsonl] = time_arms(
+        samples,
+        [
+            &mut || {
+                secs(|| {
+                    let mut s = QuantileSketch::new();
+                    for v in 0..ops {
+                        // Cheap LCG so the timed loop is the record call.
+                        s.record(v.wrapping_mul(6364136223846793005).wrapping_add(1) % 4_000_000);
+                    }
+                    s.count()
+                })
+            },
+            &mut || {
+                secs(|| {
+                    let mut reg = MetricsRegistry::new();
+                    let labels = [("scenario", "bench"), ("loss", "0.0000")];
+                    for v in 0..ops {
+                        reg.observe_histogram("campaign_packets_per_board", &labels, v % 4096);
+                    }
+                    reg.len()
+                })
+            },
+            &mut || {
+                secs(|| {
+                    let mut acc = MetricsRegistry::new();
+                    for _ in 0..rounds {
+                        acc.merge(black_box(&shard));
+                    }
+                    acc.len()
+                })
+            },
+            &mut || {
+                secs(|| {
+                    (0..rounds)
+                        .map(|_| shard.to_prometheus().len())
+                        .sum::<usize>()
+                })
+            },
+            &mut || secs(|| (0..rounds).map(|_| shard.to_jsonl().len()).sum::<usize>()),
+        ],
+    );
+    let per_sec = |n: u64, s: Spread| real(n as f64 / s.min);
+    obj(vec![
+        ("bench", Json::str("telemetry_overhead/tiny_firmware")),
+        ("series", Json::num(shard.len() as u64)),
+        ("off_cycles_per_sec", per_sec(sim_cycles, off)),
+        ("null_recorder_cycles_per_sec", per_sec(sim_cycles, null)),
+        (
+            "null_recorder_overhead_pct",
+            real(100.0 * (null.min / off.min - 1.0)),
+        ),
+        ("sketch_records_per_sec", per_sec(ops, sketch)),
+        ("histogram_records_per_sec", per_sec(ops, histogram)),
+        ("merges_per_sec", per_sec(rounds, merge)),
+        ("prometheus_per_sec", per_sec(rounds, prometheus)),
+        ("jsonl_per_sec", per_sec(rounds, jsonl)),
+        (
+            "spread",
+            spread(
+                samples,
+                &[
+                    ("off", off),
+                    ("null_recorder", null),
+                    ("sketch", sketch),
+                    ("histogram", histogram),
+                    ("merge", merge),
+                    ("prometheus", prometheus),
+                    ("jsonl", jsonl),
+                ],
+            ),
+        ),
+    ])
+}
+
+/// Measure what closing the physical loop costs: the same provisioned
 /// SynthQuadFlight board flown bare (block-fused fast path, ADC floating)
 /// versus inside the [`mavr_world::FlightHarness`] (sensors sampled into
-/// the ADC and the rigid body stepped every 16 000 cycles). See
-/// [`world_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorldThroughput {
-    /// Cycles/sec of the bare board (physics off).
-    pub bare_cycles_per_sec: f64,
-    /// Cycles/sec of the coupled board (physics on).
-    pub coupled_cycles_per_sec: f64,
-    /// World steps/sec of the coupled simulation (`coupled / 16000`).
-    pub coupled_steps_per_sec: f64,
-    /// Samples per leg the minima were taken over.
-    pub samples: usize,
-}
-
-impl WorldThroughput {
-    /// What the physics arena costs on the fused fast path, in percent of
-    /// bare throughput. The ISSUE budget is <15%.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.bare_cycles_per_sec / self.coupled_cycles_per_sec - 1.0) * 100.0
-    }
-
-    /// The `BENCH_world.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"closed_loop/synth_quad_flight\",\n  \"unit\": \"cycles_per_sec\",\n  \"samples\": {},\n  \"bare_fused\": {:.0},\n  \"coupled_fused\": {:.0},\n  \"world_steps_per_sec\": {:.0},\n  \"physics_overhead_pct\": {:.2}\n}}\n",
-            self.samples,
-            self.bare_cycles_per_sec,
-            self.coupled_cycles_per_sec,
-            self.coupled_steps_per_sec,
-            self.overhead_pct(),
-        )
-    }
-}
-
-/// Measure the closed-loop physics overhead (`quick` = fewer samples and
-/// steps, for CI smoke).
-///
-/// Both legs fly the identical provisioned board on the block-fused fast
-/// path; only the coupling differs. Legs are interleaved round-robin and
-/// each reports its fastest sample (noise only ever adds time), so the
-/// overhead ratio is robust against load drift on a shared machine.
-pub fn world_throughput(quick: bool) -> WorldThroughput {
+/// the ADC and the rigid body stepped every 16 000 cycles). Provisioning
+/// stays outside the clock. `physics_overhead_pct` is the coupled
+/// slowdown; the budget is <15%. `quick` = fewer samples and steps, for CI
+/// smoke.
+pub fn world_throughput(quick: bool) -> Json {
     use mavr_world::{FlightHarness, Scenario, World, CYCLES_PER_STEP};
 
     let steps: u64 = if quick { 125 } else { 500 };
@@ -1521,32 +1167,227 @@ pub fn world_throughput(quick: bool) -> WorldThroughput {
     let fw = build(&apps::synth_quad_flight(), &BuildOptions::safe_mavr()).unwrap();
     let board = || MavrBoard::provision(&fw.image, 0xf17e, RandomizationPolicy::default()).unwrap();
 
-    let time_bare = || {
-        let mut b = board();
-        let t0 = std::time::Instant::now();
-        b.run(cycles).unwrap();
-        t0.elapsed().as_secs_f64()
-    };
-    let time_coupled = || {
-        let mut h = FlightHarness::new(board(), World::new(Scenario::Hover, 0x57e9));
-        let t0 = std::time::Instant::now();
-        h.run_steps(steps).unwrap();
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(!h.world.on_ground(), "bench flight must stay airborne");
-        dt
-    };
-
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..samples {
-        best[0] = best[0].min(time_bare());
-        best[1] = best[1].min(time_coupled());
-    }
-    WorldThroughput {
-        bare_cycles_per_sec: cycles as f64 / best[0],
-        coupled_cycles_per_sec: cycles as f64 / best[1],
-        coupled_steps_per_sec: steps as f64 / best[1],
+    let [bare, coupled] = time_arms(
         samples,
+        [
+            &mut || {
+                let mut b = board();
+                secs(|| b.run(cycles).unwrap())
+            },
+            &mut || {
+                let mut h = FlightHarness::new(board(), World::new(Scenario::Hover, 0x57e9));
+                let dt = secs(|| h.run_steps(steps).unwrap());
+                assert!(!h.world.on_ground(), "bench flight must stay airborne");
+                dt
+            },
+        ],
+    );
+    obj(vec![
+        ("bench", Json::str("closed_loop/synth_quad_flight")),
+        ("unit", Json::str("cycles_per_sec")),
+        ("bare_fused", real(cycles as f64 / bare.min)),
+        ("coupled_fused", real(cycles as f64 / coupled.min)),
+        ("world_steps_per_sec", real(steps as f64 / coupled.min)),
+        (
+            "physics_overhead_pct",
+            real(100.0 * (coupled.min / bare.min - 1.0)),
+        ),
+        (
+            "spread",
+            spread(samples, &[("bare_fused", bare), ("coupled_fused", coupled)]),
+        ),
+    ])
+}
+
+/// What the `-mcall-prologues` ablation measures on the stock build of the
+/// tiny app. See `call_prologue_ablation`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CallPrologueAblation {
+    /// Call/jump sites that reference the shared prologue/epilogue blobs.
+    refs: usize,
+    /// Gadget start addresses inside the blobs.
+    blob_gadgets: usize,
+    /// Register-restore gadgets (≥ 4 pops) in the stock build.
+    stock_restore: usize,
+    /// Register-restore gadgets in the MAVR-toolchain build.
+    mavr_restore: usize,
+}
+
+/// `-mno-call-prologues` (§VI-B1): the shared prologue/epilogue blobs leak
+/// their location through every caller (each encodes the blob's address,
+/// as a long `call` or a relaxed `rcall`) and concentrate the long pop
+/// runs that flow into `ret`; per-function epilogues scatter the
+/// equivalent gadgets across the whole image.
+fn call_prologue_ablation() -> CallPrologueAblation {
+    use avr_core::decode::decode_at;
+    use avr_core::Insn;
+    let spec = apps::tiny_test_app();
+    let stock = build(&spec, &BuildOptions::safe_stock()).unwrap().image;
+    let mavr_img = build(&spec, &BuildOptions::safe_mavr()).unwrap().image;
+
+    let blobs: Vec<(u32, u32)> = ["__prologue_saves__", "__epilogue_restores__"]
+        .iter()
+        .map(|n| {
+            let s = stock.symbol(n).expect("stock build has the blob");
+            (s.addr, s.end())
+        })
+        .collect();
+    let in_blobs = |byte: u32| blobs.iter().any(|&(a, e)| byte >= a && byte < e);
+    let mut refs = 0;
+    let mut off = 0u32;
+    while off + 1 < stock.text_end {
+        let Some((insn, words)) = decode_at(&stock.bytes, off as usize) else {
+            break;
+        };
+        let target = match insn {
+            Insn::Call { k } | Insn::Jmp { k } => Some(k * 2),
+            Insn::Rcall { k } | Insn::Rjmp { k } => {
+                Some(off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2))
+            }
+            _ => None,
+        };
+        if target.is_some_and(in_blobs) {
+            refs += 1;
+        }
+        off += words * 2;
     }
+
+    let opts = ScanOptions {
+        max_insns: 24,
+        dedup: false,
+    };
+    let stock_gadgets = scanner::scan(&stock, &opts);
+    let restores = |gadgets: &[rop::Gadget]| {
+        gadgets
+            .iter()
+            .filter(|g| {
+                g.insns
+                    .iter()
+                    .filter(|i| matches!(i, Insn::Pop { .. }))
+                    .count()
+                    >= 4
+            })
+            .count()
+    };
+    CallPrologueAblation {
+        refs,
+        blob_gadgets: stock_gadgets.iter().filter(|g| in_blobs(g.addr)).count(),
+        stock_restore: restores(&stock_gadgets),
+        mavr_restore: restores(&scanner::scan(&mavr_img, &opts)),
+    }
+}
+
+/// **Ablations** of the design choices the paper argues for (DESIGN.md §4),
+/// rendered as text:
+///
+/// - `--no-relax` (§VI-B1): randomizing a relax-built image is refused, and
+///   forcing it through breaks the image;
+/// - `-mno-call-prologues` (§VI-B1): see `call_prologue_ablation`;
+/// - randomization frequency vs the 10,000-cycle flash endurance (§V-C);
+/// - random inter-function padding (§VIII-B): the entropy gain the paper
+///   deemed unnecessary;
+/// - the toolchain flags' natural (uncalibrated) effect on code size.
+pub fn ablations() -> String {
+    use mavr::{randomize, RandomizeOptions};
+    use std::fmt::Write;
+    let mut out = String::new();
+
+    let img = build(&apps::tiny_test_app(), &BuildOptions::safe_stock())
+        .unwrap()
+        .image;
+    let err = randomize(&img, &mut mavr::seeded_rng(1), &RandomizeOptions::default()).unwrap_err();
+    writeln!(
+        out,
+        "Ablation --no-relax: relax-built image rejected ({err})"
+    )
+    .unwrap();
+    let forced = RandomizeOptions {
+        ignore_relaxed_branches: true,
+        ..Default::default()
+    };
+    let trials = 10;
+    let deaths = (0..trials)
+        .filter(|&seed| {
+            let r = randomize(&img, &mut mavr::seeded_rng(seed), &forced).unwrap();
+            let mut m = avr_sim::Machine::new_atmega2560();
+            m.load_flash(0, &r.image.bytes);
+            let exit = m.run(2_000_000);
+            !exit.is_healthy() || m.heartbeat.toggles().len() < 5
+        })
+        .count();
+    writeln!(
+        out,
+        "Ablation --no-relax: force-randomized relax builds died {deaths}/{trials} times"
+    )
+    .unwrap();
+
+    let c = call_prologue_ablation();
+    writeln!(
+        out,
+        "Ablation -mcall-prologues: {} call sites reference the shared blobs \
+         ({} gadget start addresses inside them); register-restore gadgets: \
+         {} (stock, concentrated) vs {} (MAVR toolchain, scattered)",
+        c.refs, c.blob_gadgets, c.stock_restore, c.mavr_restore
+    )
+    .unwrap();
+
+    let endurance = avr_core::device::ATMEGA2560.flash_endurance_cycles;
+    writeln!(
+        out,
+        "Ablation randomization frequency vs flash endurance ({endurance} cycles):"
+    )
+    .unwrap();
+    for n in [1u32, 5, 10, 50, 100] {
+        let p = RandomizationPolicy {
+            every_n_boots: n,
+            on_attack: true,
+        };
+        writeln!(
+            out,
+            "  every {n:>3} boots -> lifetime {:>9.0} boots (no attacks), {:>9.0} (1% attack rate)",
+            p.lifetime_boots(endurance, 0.0),
+            p.lifetime_boots(endurance, 0.01)
+        )
+        .unwrap();
+    }
+
+    writeln!(out, "Ablation inter-function padding (§VIII-B):").unwrap();
+    for pad_choices in [1u64, 4, 16, 64] {
+        writeln!(
+            out,
+            "  800 fns, {pad_choices:>2} pad choices -> {:.0} bits (baseline {:.0})",
+            mavr::math::entropy_bits_with_padding(800, pad_choices),
+            mavr::math::entropy_bits(800)
+        )
+        .unwrap();
+    }
+    writeln!(
+        out,
+        "  -> the baseline is already computationally secure; padding unnecessary."
+    )
+    .unwrap();
+
+    // With no size calibration, relaxation + call-prologues make the stock
+    // build smaller; the paper's slight MAVR-side decrease came from its
+    // leaner custom toolchain, which the calibration reproduces.
+    let natural = AppSpec {
+        stock_size: None,
+        mavr_size: None,
+        ..apps::synth_rover()
+    };
+    let size = |opts: &BuildOptions| i64::from(build(&natural, opts).unwrap().image.code_size());
+    let (stock, mavr) = (
+        size(&BuildOptions::safe_stock()),
+        size(&BuildOptions::safe_mavr()),
+    );
+    writeln!(
+        out,
+        "Ablation natural code size (SynthRover, uncalibrated): stock {stock} vs mavr {mavr} \
+         bytes ({:+} from the flags)",
+        mavr - stock
+    )
+    .unwrap();
+    out
 }
 
 #[cfg(test)]
@@ -1577,6 +1418,61 @@ mod tests {
         let (mf, ef, mr, er) = bruteforce(4, 4_000);
         assert!((mf - ef).abs() / ef < 0.1);
         assert!((mr - er).abs() / er < 0.1);
+    }
+
+    #[test]
+    fn call_prologue_blobs_leak_and_concentrate_gadgets() {
+        let c = call_prologue_ablation();
+        assert!(
+            c.refs > 10,
+            "the blob must be referenced from many call sites: {c:?}"
+        );
+        assert!(
+            c.mavr_restore > c.stock_restore,
+            "per-function epilogues scatter the gadgets: {c:?}"
+        );
+    }
+
+    #[test]
+    fn bench_record_round_trips_with_host_stamp() {
+        let record = obj(vec![
+            ("bench", Json::str("unit/round_trip")),
+            ("ratio", real(1.0 / 3.0)),
+            ("missing", real(f64::NAN)),
+            ("rows", Json::Arr(vec![obj(vec![("n", Json::num(7))])])),
+        ]);
+        let text = stamp(record, true).to_text();
+        let back = Json::parse(&text).expect("a bench record parses as JSON");
+        assert_eq!(back.to_text(), text);
+        assert_eq!(
+            back.get("bench").and_then(Json::as_str),
+            Some("unit/round_trip")
+        );
+        assert_eq!(back.get("ratio").and_then(Json::as_f64), Some(0.3333));
+        assert_eq!(back.get("missing"), Some(&Json::Null));
+        let host = back.get("host").expect("host stamp");
+        for key in ["nproc", "rustc", "commit", "quick"] {
+            assert!(host.get(key).is_some(), "host.{key} missing: {text}");
+        }
+        assert_eq!(host.get("quick").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn time_arms_discards_a_warm_up_and_orders_the_spread() {
+        let mut calls = 0;
+        let [a, b] = time_arms(
+            4,
+            [
+                &mut || {
+                    calls += 1;
+                    secs(|| ())
+                },
+                &mut || 1.0,
+            ],
+        );
+        assert_eq!(calls, 5, "one warm-up round plus four samples");
+        assert!(a.min <= a.median && a.median <= a.max);
+        assert_eq!((b.min, b.median, b.max), (1.0, 1.0, 1.0));
     }
 
     #[test]
