@@ -57,20 +57,37 @@ impl std::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`. Bitwise — container-sized
-/// inputs are small enough that a table buys nothing here. The board crate
-/// carries its own copy because the snapshot crate (which also has one)
-/// sits *above* it in the dependency graph.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+const fn build_crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
+        table[n] = c;
+        n += 1;
     }
-    !crc
+    table
+}
+
+static CRC_TABLE: [u32; 256] = build_crc_table();
+
+/// IEEE CRC-32 (802.3, reflected; the `cksum -o3`/zlib polynomial) over
+/// `bytes`, table-driven. The workspace's one copy: container footers
+/// here, and snapshot blobs through `mavr_snapshot::crc32`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xffff_ffffu32;
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xffff_ffff
 }
 
 /// The chip: stores the MAVR container verbatim, as `avrdude` would upload

@@ -58,4 +58,4 @@ pub use proto::{Control, Service, ServiceStats};
 pub use runner::{merge_store, CampaignSession, RunOutcome};
 pub use server::ServeOptions;
 pub use spec::CampaignSpec;
-pub use store::{write_file_atomic, CampaignStatus, CampaignStore};
+pub use store::{CampaignStatus, CampaignStore};

@@ -80,16 +80,6 @@ impl CampaignSpec {
             .get("name")
             .and_then(Json::as_str)
             .ok_or("spec needs a string `name`")?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        {
-            return Err(format!(
-                "campaign name `{name}` must be non-empty [A-Za-z0-9._-] \
-                 (it becomes a directory name)"
-            ));
-        }
         let mut spec = CampaignSpec::named(name);
 
         let u64_field = |key: &str, default: u64| -> Result<u64, String> {
@@ -98,34 +88,21 @@ impl CampaignSpec {
                 Some(j) => j.as_u64().ok_or(format!("`{key}` must be a u64")),
             }
         };
-        let prob_list = |key: &str, default: &[f64]| -> Result<Vec<f64>, String> {
+        let f64_list = |key: &str, default: &[f64]| -> Result<Vec<f64>, String> {
             let Some(j) = v.get(key) else {
                 return Ok(default.to_vec());
             };
             let items = j.as_arr().ok_or(format!("`{key}` must be an array"))?;
-            if items.is_empty() {
-                return Err(format!("`{key}` must not be empty"));
-            }
             items
                 .iter()
-                .map(|p| {
-                    p.as_f64()
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .ok_or(format!("`{key}` entries must be probabilities in 0..=1"))
-                })
+                .map(|p| p.as_f64().ok_or(format!("`{key}` entries must be numbers")))
                 .collect()
         };
 
         spec.seed = u64_field("seed", spec.seed)?;
         spec.boards = u64_field("boards", spec.boards as u64)? as usize;
-        if spec.boards == 0 {
-            return Err("`boards` must be at least 1".into());
-        }
         if let Some(j) = v.get("scenarios") {
             let items = j.as_arr().ok_or("`scenarios` must be an array of names")?;
-            if items.is_empty() {
-                return Err("`scenarios` must not be empty".into());
-            }
             spec.scenarios = items
                 .iter()
                 .map(|s| {
@@ -135,8 +112,8 @@ impl CampaignSpec {
                 })
                 .collect::<Result<_, _>>()?;
         }
-        spec.loss_levels = prob_list("loss_levels", &spec.loss_levels)?;
-        spec.fault_levels = prob_list("fault_levels", &spec.fault_levels)?;
+        spec.loss_levels = f64_list("loss_levels", &spec.loss_levels)?;
+        spec.fault_levels = f64_list("fault_levels", &spec.fault_levels)?;
         spec.warmup_cycles = u64_field("warmup_cycles", spec.warmup_cycles)?;
         spec.attack_cycles = u64_field("attack_cycles", spec.attack_cycles)?;
         if let Some(j) = v.get("app") {
@@ -149,18 +126,15 @@ impl CampaignSpec {
         spec.threads = u64_field("threads", spec.threads as u64)? as usize;
         spec.shard_jobs = u64_field("shard_jobs", spec.shard_jobs)?.max(1);
 
-        let prob_field = |key: &str| -> Result<f64, String> {
+        let f64_field = |key: &str| -> Result<f64, String> {
             match v.get(key) {
                 None => Ok(0.0),
-                Some(j) => j
-                    .as_f64()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .ok_or(format!("`{key}` must be a probability in 0..=1")),
+                Some(j) => j.as_f64().ok_or(format!("`{key}` must be a number")),
             }
         };
-        spec.sabotage.panic_rate = prob_field("sabotage_panic")?;
-        spec.sabotage.hang_rate = prob_field("sabotage_hang")?;
-        spec.sabotage.flaky_rate = prob_field("sabotage_flaky")?;
+        spec.sabotage.panic_rate = f64_field("sabotage_panic")?;
+        spec.sabotage.hang_rate = f64_field("sabotage_hang")?;
+        spec.sabotage.flaky_rate = f64_field("sabotage_flaky")?;
         spec.sabotage.seed = u64_field("sabotage_seed", 0)?;
 
         const KNOWN: &[&str] = &[
@@ -190,9 +164,65 @@ impl CampaignSpec {
                 ));
             }
         }
-        // Validate the app name at submit time, not first-run time.
-        spec.to_config()?;
+        // Validate the values (the app name included) at submit time,
+        // not first-run time.
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Every check a spec must pass before it names a campaign: a
+    /// directory-safe name, at least one board, non-empty sweeps of
+    /// probabilities in `0..=1`, and a known app. [`Self::from_json`] and
+    /// [`Self::to_config`] both apply it, so the CLI's flag-built specs
+    /// and submitted JSON specs are held to the same rules.
+    pub fn validate(&self) -> Result<(), String> {
+        let name = &self.name;
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
+        {
+            return Err(format!(
+                "campaign name `{name}` must be non-empty [A-Za-z0-9._-] \
+                 (it becomes a directory name)"
+            ));
+        }
+        if self.boards == 0 {
+            return Err("`boards` must be at least 1".into());
+        }
+        if self.scenarios.is_empty() {
+            return Err("`scenarios` must not be empty".into());
+        }
+        let is_prob = |p: f64| (0.0..=1.0).contains(&p);
+        for (key, levels) in [
+            ("loss_levels", &self.loss_levels),
+            ("fault_levels", &self.fault_levels),
+        ] {
+            if levels.is_empty() {
+                return Err(format!("`{key}` must not be empty"));
+            }
+            if !levels.iter().all(|&p| is_prob(p)) {
+                return Err(format!("`{key}` entries must be probabilities in 0..=1"));
+            }
+        }
+        let sb = &self.sabotage;
+        for (key, rate) in [
+            ("sabotage_panic", sb.panic_rate),
+            ("sabotage_hang", sb.hang_rate),
+            ("sabotage_flaky", sb.flaky_rate),
+        ] {
+            if !is_prob(rate) {
+                return Err(format!("`{key}` must be a probability in 0..=1"));
+            }
+        }
+        if synth_firmware::apps::by_name(&self.app).is_none() {
+            return Err(format!(
+                "unknown app `{}` ({})",
+                self.app,
+                synth_firmware::apps::APP_NAMES
+            ));
+        }
+        Ok(())
     }
 
     /// Canonical single-line JSON (every field explicit, fixed order) —
@@ -239,14 +269,13 @@ impl CampaignSpec {
         Json::Obj(fields).to_text()
     }
 
-    /// The engine config this spec describes. Telemetry and the interrupt
-    /// flag are left at their defaults — the runner wires those.
+    /// The engine config this spec describes, after [`Self::validate`].
+    /// Telemetry, block fusion and the interrupt flag are left at their
+    /// defaults — engine knobs outside the campaign's identity, which the
+    /// runner wires.
     pub fn to_config(&self) -> Result<CampaignConfig, String> {
-        let app = synth_firmware::apps::by_name(&self.app).ok_or(format!(
-            "unknown app `{}` ({})",
-            self.app,
-            synth_firmware::apps::APP_NAMES
-        ))?;
+        self.validate()?;
+        let app = synth_firmware::apps::by_name(&self.app).expect("validated app name");
         Ok(CampaignConfig {
             seed: self.seed,
             boards: self.boards,
@@ -346,5 +375,12 @@ mod tests {
         ] {
             assert!(CampaignSpec::from_json(bad).is_err(), "accepted {why}");
         }
+        // `to_config` holds a spec built in code to the same checks.
+        let mut spec = CampaignSpec::named("ok");
+        spec.boards = 0;
+        assert!(spec.to_config().is_err());
+        spec.boards = 1;
+        spec.loss_levels = vec![];
+        assert!(spec.to_config().is_err());
     }
 }

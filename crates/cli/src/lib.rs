@@ -9,6 +9,7 @@
 
 use avr_core::image::FirmwareImage;
 use hexfile::MavrContainer;
+use mavr_fleet::{ATTACK_TARGET, ATTACK_VALUES};
 use synth_firmware::{apps, AppSpec, BuildOptions};
 
 /// CLI errors, rendered to stderr by the binary.
@@ -64,12 +65,10 @@ const VALUED: &[&str] = &[
     "--loss",
     "--fault",
     "--threads",
-    "--capacity",
     "--warmup",
     "--restore",
     "--digest",
     "--interval",
-    "--checkpoint",
     "--max-jobs",
     "--metrics-out",
     "--top",
@@ -85,6 +84,49 @@ const VALUED: &[&str] = &[
     "--store-fault",
     "--store-fault-seed",
 ];
+
+/// A value type [`Args::get`] can read from an option.
+pub trait OptValue: Sized {
+    /// Parse one option value; `None` when it is not a valid `Self`.
+    fn parse_opt(s: &str) -> Option<Self>;
+}
+
+macro_rules! int_opt_value {
+    ($($t:ty),*) => {$(
+        /// Decimal, or hex with a `0x` prefix.
+        impl OptValue for $t {
+            fn parse_opt(s: &str) -> Option<Self> {
+                match s.strip_prefix("0x") {
+                    Some(hex) => <$t>::from_str_radix(hex, 16).ok(),
+                    None => s.parse().ok(),
+                }
+            }
+        }
+    )*};
+}
+int_opt_value!(u8, u16, u32, u64, usize);
+
+impl OptValue for f64 {
+    fn parse_opt(s: &str) -> Option<Self> {
+        s.parse().ok()
+    }
+}
+
+impl Args {
+    /// The typed value of option `key`: `None` when it is absent, a usage
+    /// error when it does not parse (junk, or out of range for `T`).
+    pub fn get<T: OptValue>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.options
+            .get(key)
+            .map(|s| T::parse_opt(s).ok_or_else(|| CliError::Usage(format!("bad {key} `{s}`"))))
+            .transpose()
+    }
+
+    /// The output path, from `-o` or `--out`.
+    pub fn out(&self) -> Option<&String> {
+        self.options.get("-o").or(self.options.get("--out"))
+    }
+}
 
 /// Split raw arguments into positionals, options and flags.
 pub fn parse_args(raw: &[String]) -> Result<Args, CliError> {
@@ -169,7 +211,7 @@ pub fn cmd_build(args: &Args) -> Result<String, CliError> {
             ""
         }
     );
-    if let Some(path) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(path) = args.out() {
         std::fs::write(path, &text).map_err(fail)?;
         out.push_str(&format!("wrote MAVR container to {path}\n"));
     } else {
@@ -195,7 +237,7 @@ pub fn cmd_assemble(args: &Args) -> Result<String, CliError> {
         image.code_size(),
         image.function_count()
     );
-    if let Some(dst) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(dst) = args.out() {
         let container = mavr::preprocess(&image).map_err(fail)?;
         std::fs::write(dst, container.to_text()).map_err(fail)?;
         out.push_str(&format!(
@@ -243,12 +285,7 @@ pub fn cmd_randomize(args: &Args) -> Result<String, CliError> {
             "no symbols — randomize needs a MAVR container, not plain HEX".into(),
         ));
     }
-    let seed: u64 = args
-        .options
-        .get("--seed")
-        .map(|s| s.parse().map_err(|_| CliError::Usage("bad --seed".into())))
-        .transpose()?
-        .unwrap_or(0x2015);
+    let seed = args.get("--seed")?.unwrap_or(0x2015);
     let mut rng = mavr::seeded_rng(seed);
     let r = mavr::randomize(&img, &mut rng, &mavr::RandomizeOptions::default()).map_err(fail)?;
     let moved = img
@@ -259,7 +296,7 @@ pub fn cmd_randomize(args: &Args) -> Result<String, CliError> {
         "randomized with seed {seed}: {moved}/{} functions moved\n",
         img.function_count()
     );
-    if let Some(dst) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(dst) = args.out() {
         // The application processor receives a plain binary — write ihex.
         std::fs::write(dst, hexfile::write_ihex(&r.image.bytes, 0)).map_err(fail)?;
         out.push_str(&format!("wrote randomized Intel HEX to {dst}\n"));
@@ -314,15 +351,7 @@ pub fn cmd_scan(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("scan needs a file".into()))?;
     let img = load_image(path)?;
     let opts = rop::ScanOptions {
-        max_insns: args
-            .options
-            .get("--max-insns")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| CliError::Usage("bad --max-insns".into()))
-            })
-            .transpose()?
-            .unwrap_or(6),
+        max_insns: args.get("--max-insns")?.unwrap_or(6),
         dedup: !args.flags.contains("no-dedup"),
     };
     let gadgets = rop::scan(&img, &opts);
@@ -357,8 +386,8 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("disasm needs a file".into()))?;
     let img = load_image(path)?;
-    let start = parse_num(args.options.get("--start"), 0)?;
-    let len = parse_num(args.options.get("--len"), 64)?;
+    let start = args.get("--start")?.unwrap_or(0);
+    let len = args.get("--len")?.unwrap_or(64);
     let mut out = String::new();
     for line in avr_core::disasm::disassemble(&img.bytes, start, len) {
         if let Some(sym) = img.symbol_containing(line.addr) {
@@ -371,20 +400,6 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_num(v: Option<&String>, default: u32) -> Result<u32, CliError> {
-    match v {
-        None => Ok(default),
-        Some(s) => {
-            let parsed = if let Some(hex) = s.strip_prefix("0x") {
-                u32::from_str_radix(hex, 16)
-            } else {
-                s.parse()
-            };
-            parsed.map_err(|_| CliError::Usage(format!("bad number `{s}`")))
-        }
-    }
-}
-
 /// `mavr simulate <file> [--cycles N]`
 pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let path = args
@@ -392,7 +407,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("simulate needs a file".into()))?;
     let img = load_image(path)?;
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
+    let cycles = args.get("--cycles")?.unwrap_or(2_000_000);
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
     let exit = m.run(cycles);
@@ -430,8 +445,8 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
             "no symbols — profile needs a MAVR container, not plain HEX".into(),
         ));
     }
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
-    let top = parse_num(args.options.get("--top"), 10)? as usize;
+    let cycles = args.get("--cycles")?.unwrap_or(2_000_000);
+    let top: usize = args.get("--top")?.unwrap_or(10);
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
     m.enable_cycle_profile(&img);
@@ -479,23 +494,20 @@ pub fn cmd_attack(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("attack needs a container file".into()))?;
     let img = load_image(path)?;
-    let target = parse_num(
-        args.options.get("--target"),
-        u32::from(synth_firmware::layout::GYRO + 3),
-    )? as u16;
-    let values: Vec<u8> = args
-        .options
-        .get("--values")
-        .map(String::as_str)
-        .unwrap_or("de,ad,42")
-        .split(',')
-        .map(|s| u8::from_str_radix(s.trim(), 16))
-        .collect::<Result<_, _>>()
-        .map_err(|_| CliError::Usage("bad --values (hex bytes, comma separated)".into()))?;
-    if values.len() != 3 {
-        return Err(CliError::Usage("--values needs exactly 3 bytes".into()));
-    }
-    let vals = [values[0], values[1], values[2]];
+    let target = args.get("--target")?.unwrap_or(ATTACK_TARGET);
+    let vals = match args.options.get("--values") {
+        None => ATTACK_VALUES,
+        Some(list) => {
+            let values = list
+                .split(',')
+                .map(|s| u8::from_str_radix(s.trim(), 16))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| CliError::Usage("bad --values (hex bytes, comma separated)".into()))?;
+            values
+                .try_into()
+                .map_err(|_| CliError::Usage("--values needs exactly 3 bytes".into()))?
+        }
+    };
     let ctx = rop::attack::AttackContext::discover(&img).map_err(fail)?;
     let payload = match args.options.get("--variant").map(String::as_str) {
         Some("v1") => ctx.v1_payload(target, vals),
@@ -535,8 +547,8 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .get("--scenario")
         .map(String::as_str)
         .unwrap_or("stealthy-attack");
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 3_000_000)?);
+    let seed = args.get("--seed")?.unwrap_or(0x2015);
+    let cycles = args.get("--cycles")?.unwrap_or(3_000_000);
     let fw = synth_firmware::build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr())
         .map_err(fail)?;
 
@@ -567,9 +579,8 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
             // The paper's V2 against an UNPROTECTED machine: injection,
             // clean return, telemetry keeps flowing.
             let ctx = rop::attack::AttackContext::discover_with(&fw.image, &t).map_err(fail)?;
-            let target = synth_firmware::layout::GYRO + 3;
             let payload = ctx
-                .v2_payload(&[(target, [0xde, 0xad, 0x42])])
+                .v2_payload(&[(ATTACK_TARGET, ATTACK_VALUES)])
                 .map_err(fail)?;
             let mut m = avr_sim::Machine::new_atmega2560();
             m.telemetry = t.clone();
@@ -583,12 +594,12 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
                 vec![
                     ("variant", Value::Str("v2".into())),
                     ("wire_bytes", Value::U64(len as u64)),
-                    ("target", Value::U64(u64::from(target))),
+                    ("target", Value::U64(u64::from(ATTACK_TARGET))),
                 ]
             });
             m.uart0.inject(&wire);
             let _ = m.run(cycles);
-            let overwritten = m.peek_range(target, 3) == [0xde, 0xad, 0x42];
+            let overwritten = m.peek_range(ATTACK_TARGET, 3) == ATTACK_VALUES;
             let clean = m.fault().is_none();
             t.emit(
                 if clean {
@@ -618,9 +629,8 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
             // that (the master's RNG is deterministic per seed), then replay
             // it with the recorder attached.
             let ctx = rop::attack::AttackContext::discover(&fw.image).map_err(fail)?;
-            let target = synth_firmware::layout::GYRO + 3;
             let payload = ctx
-                .v2_payload(&[(target, [0xde, 0xad, 0x42])])
+                .v2_payload(&[(ATTACK_TARGET, ATTACK_VALUES)])
                 .map_err(fail)?;
             let mut gcs = mavlink_lite::GroundStation::new();
             let wire = gcs.exploit_packet(&payload).map_err(fail)?;
@@ -660,12 +670,12 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
                 vec![
                     ("variant", Value::Str("v2".into())),
                     ("wire_bytes", Value::U64(len as u64)),
-                    ("target", Value::U64(u64::from(target))),
+                    ("target", Value::U64(u64::from(ATTACK_TARGET))),
                 ]
             });
             board.uplink(&wire);
             board.run(cycles.max(4_000_000)).map_err(fail)?;
-            let overwritten = board.app.machine.peek_range(target, 3) == [0xde, 0xad, 0x42];
+            let overwritten = board.app.machine.peek_range(ATTACK_TARGET, 3) == ATTACK_VALUES;
             narrative.push_str(&format!(
                 "stealthy-attack scenario (board seed {s}): attack succeeded = {overwritten}, \
                  recoveries = {}\n\n",
@@ -695,7 +705,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .expect("trace recorder is a ring");
 
     let mut out = String::new();
-    if let Some(path) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(path) = args.out() {
         std::fs::write(path, &jsonl).map_err(fail)?;
         out.push_str(&format!(
             "wrote {total} events to {path} ({dropped} dropped from the ring)\n\n"
@@ -747,7 +757,7 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("snapshot needs an image file".into()))?;
     let img = load_image(path)?;
-    let target = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
+    let target: u64 = args.get("--cycles")?.unwrap_or(2_000_000);
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
     let resumed = if let Some(snap) = args.options.get("--restore") {
@@ -766,7 +776,7 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
         m.pc_bytes(),
         m.heartbeat.toggles().len(),
     );
-    if let Some(dst) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(dst) = args.out() {
         let blob = encode_machine(&m.capture_state());
         std::fs::write(dst, &blob).map_err(fail)?;
         out.push_str(&format!(
@@ -795,9 +805,9 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
 pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     use mavr_snapshot::{bisect_divergence, Timeline};
 
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 4_000_000)?);
-    let interval = u64::from(parse_num(args.options.get("--interval"), 250_000)?);
+    let seed = args.get("--seed")?.unwrap_or(0x2015);
+    let cycles = args.get("--cycles")?.unwrap_or(4_000_000);
+    let interval = args.get("--interval")?.unwrap_or(250_000);
 
     let fw = synth_firmware::build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr())
         .map_err(fail)?;
@@ -808,9 +818,8 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     // The exploit an attacker holding the published image would send:
     // gadget addresses from the STOCK layout.
     let ctx = rop::attack::AttackContext::discover(&fw.image).map_err(fail)?;
-    let target = synth_firmware::layout::GYRO + 3;
     let payload = ctx
-        .v2_payload(&[(target, [0xde, 0xad, 0x42])])
+        .v2_payload(&[(ATTACK_TARGET, ATTACK_VALUES)])
         .map_err(fail)?;
     let mut gcs = mavlink_lite::GroundStation::new();
     let wire = gcs.exploit_packet(&payload).map_err(fail)?;
@@ -871,7 +880,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     let _ = rand_m.run(cycles);
     let mut report = avr_sim::CrashReport::capture(&rand_m, Some(&r.image), &ctx.annotations());
     report.divergence_cycle = Some(d.cycle);
-    if let Some(dst) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(dst) = args.out() {
         if let Some(kf) = rand_tl
             .keyframes()
             .iter()
@@ -894,21 +903,18 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 }
 
 /// `mavr fleet [app] [--boards N] [--scenario LIST|all] [--loss L1,L2,..]
-/// [--seed N] [--warmup N] [--cycles N] [--threads N] [--capacity N]
-/// [--checkpoint FILE] [--max-jobs N] [--json | --jsonl] [-o FILE]`
+/// [--seed N] [--warmup N] [--cycles N] [--threads N] [--tenant N]
+/// [--json | --jsonl] [-o FILE]`
 ///
 /// Run a many-UAV campaign: `scenarios × loss levels × boards` independent
 /// boards over deterministic lossy links, aggregated into a
 /// `CampaignReport`. The same arguments always produce byte-identical
-/// `--json` output, regardless of `--threads`.
-///
-/// With `--checkpoint FILE`, completed jobs are persisted to `FILE` (a
-/// one-shard checkpoint; any other file is refused, untouched) and a
-/// rerun with the same arguments resumes where the last run stopped
-/// (`--max-jobs` caps how many jobs one invocation flies); the stitched
-/// report is byte-identical to an uninterrupted run's.
+/// `--json` output, regardless of `--threads`. The flags describe a
+/// [`mavr_campaignd::CampaignSpec`], so a fleet run and `serve --spec` of
+/// the same spec produce the same report; resumable runs go through
+/// `serve --spec`.
 pub fn cmd_fleet(args: &Args) -> Result<String, CliError> {
-    run_campaign_cmd(args, vec![0.0])
+    run_campaign_cmd(args, &[0.0])
 }
 
 /// The fault-rate sweep `mavr chaos` runs when `--fault` is not given:
@@ -926,7 +932,7 @@ pub const DEFAULT_FAULT_SWEEP: &[f64] = &[0.0, 0.00005, 0.0001, 0.0002, 0.0005];
 /// axis and reports reflash-retry, degraded-boot and brick rates per
 /// cell. `--fault 0` reproduces `fleet` output byte-for-byte.
 pub fn cmd_chaos(args: &Args) -> Result<String, CliError> {
-    run_campaign_cmd(args, DEFAULT_FAULT_SWEEP.to_vec())
+    run_campaign_cmd(args, DEFAULT_FAULT_SWEEP)
 }
 
 /// The `--dir DIR` campaign root every service subcommand operates under.
@@ -942,17 +948,43 @@ fn campaign_root(args: &Args) -> Result<std::path::PathBuf, CliError> {
 fn load_spec(args: &Args, path: &str) -> Result<mavr_campaignd::CampaignSpec, CliError> {
     let text = std::fs::read_to_string(path).map_err(fail)?;
     let mut spec = mavr_campaignd::CampaignSpec::from_json(&text).map_err(CliError::Usage)?;
-    if let Some(v) = args.options.get("--shard-jobs") {
-        spec.shard_jobs = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --shard-jobs".into()))?;
-    }
-    if let Some(v) = args.options.get("--tenant") {
-        spec.tenant = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --tenant (u64)".into()))?;
-    }
+    spec.shard_jobs = args.get("--shard-jobs")?.unwrap_or(spec.shard_jobs);
+    spec.tenant = args.get("--tenant")?.unwrap_or(spec.tenant);
     Ok(spec)
+}
+
+/// What a command does over `--socket PATH`.
+enum SocketOp<'a> {
+    /// Serve the control protocol on the socket.
+    Serve(&'a mavr_campaignd::Service),
+    /// Send one request line to the service listening there.
+    Request(String),
+}
+
+/// Run `op` over the Unix socket at `sock` (a usage error elsewhere).
+fn over_socket(sock: &str, op: SocketOp) -> Result<String, CliError> {
+    #[cfg(unix)]
+    {
+        let path = std::path::Path::new(sock);
+        match op {
+            SocketOp::Serve(service) => mavr_campaignd::server::serve_socket(
+                service,
+                path,
+                std::io::stderr(),
+                &mavr_campaignd::ServeOptions::default(),
+            )
+            .map(|()| String::new()),
+            SocketOp::Request(line) => {
+                mavr_campaignd::server::request(path, &line).map(|resp| format!("{resp}\n"))
+            }
+        }
+        .map_err(CliError::Failed)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (sock, op);
+        Err(CliError::Usage("--socket needs a Unix platform".into()))
+    }
 }
 
 /// `mavr serve --dir DIR (--spec FILE | --socket PATH | --stdio)`
@@ -977,27 +1009,18 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let root = campaign_root(args)?;
     let interrupt = mavr_campaignd::signal::install();
 
-    let fault_fs = match args.options.get("--store-fault") {
+    let fault_fs = match args.get::<f64>("--store-fault")? {
         None => FaultFs::none(),
-        Some(v) => {
-            let rate: f64 = v
-                .parse()
-                .ok()
-                .filter(|r| (0.0..=1.0).contains(r))
-                .ok_or_else(|| CliError::Usage("bad --store-fault (probability 0..=1)".into()))?;
-            let seed: u64 = match args.options.get("--store-fault-seed") {
-                None => 0,
-                Some(s) => s
-                    .parse()
-                    .map_err(|_| CliError::Usage("bad --store-fault-seed (u64)".into()))?,
-            };
-            FaultFs::seeded(seed, rate)
+        Some(rate) if (0.0..=1.0).contains(&rate) => {
+            FaultFs::seeded(args.get("--store-fault-seed")?.unwrap_or(0), rate)
+        }
+        Some(_) => {
+            return Err(CliError::Usage(
+                "bad --store-fault (probability 0..=1)".into(),
+            ))
         }
     };
-    if let Some(v) = args.options.get("--deadline-s") {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --deadline-s (seconds)".into()))?;
+    if let Some(secs) = args.get("--deadline-s")? {
         let flag = std::sync::Arc::clone(&interrupt);
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_secs(secs));
@@ -1017,15 +1040,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         };
         let session =
             CampaignSession::new(store, telemetry, interrupt).map_err(CliError::Failed)?;
-        let budget = args
-            .options
-            .get("--max-jobs")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage("bad --max-jobs".into()))
-            })
-            .transpose()?;
-        let outcome = session.run(budget, None).map_err(CliError::Failed)?;
+        let outcome = session
+            .run(args.get("--max-jobs")?, None)
+            .map_err(CliError::Failed)?;
         if outcome.complete {
             let (report_path, _metrics) = merge_store(&session.store).map_err(CliError::Failed)?;
             return Ok(format!(
@@ -1050,28 +1067,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         ));
     }
 
+    let service = Service::new(root, interrupt).with_store_faults(fault_fs);
     if let Some(sock) = args.options.get("--socket") {
-        #[cfg(unix)]
-        {
-            let service = Service::new(root, interrupt).with_store_faults(fault_fs);
-            mavr_campaignd::server::serve_socket(
-                &service,
-                std::path::Path::new(sock),
-                std::io::stderr(),
-                &mavr_campaignd::server::ServeOptions::default(),
-            )
-            .map_err(CliError::Failed)?;
-            return Ok(String::new());
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = sock;
-            return Err(CliError::Usage("--socket needs a Unix platform".into()));
-        }
+        return over_socket(sock, SocketOp::Serve(&service));
     }
-
     if args.flags.contains("stdio") {
-        let service = Service::new(root, interrupt).with_store_faults(fault_fs);
         let stdin = std::io::stdin();
         mavr_campaignd::server::serve_lines(&service, stdin.lock(), std::io::stdout())
             .map_err(CliError::Failed)?;
@@ -1097,18 +1097,8 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
     let spec = load_spec(args, spec_path)?;
 
     if let Some(sock) = args.options.get("--socket") {
-        #[cfg(unix)]
-        {
-            let line = format!(r#"{{"op":"submit","spec":{}}}"#, spec.to_json());
-            let resp = mavr_campaignd::server::request(std::path::Path::new(sock), &line)
-                .map_err(CliError::Failed)?;
-            return Ok(format!("{resp}\n"));
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = sock;
-            return Err(CliError::Usage("--socket needs a Unix platform".into()));
-        }
+        let line = format!(r#"{{"op":"submit","spec":{}}}"#, spec.to_json());
+        return over_socket(sock, SocketOp::Request(line));
     }
 
     let root = campaign_root(args)?;
@@ -1132,21 +1122,11 @@ pub fn cmd_status(args: &Args) -> Result<String, CliError> {
     use mavr_campaignd::CampaignStore;
 
     if let Some(sock) = args.options.get("--socket") {
-        #[cfg(unix)]
-        {
-            let line = match args.options.get("--campaign") {
-                Some(name) => format!(r#"{{"op":"status","campaign":"{name}"}}"#),
-                None => r#"{"op":"status"}"#.to_string(),
-            };
-            let resp = mavr_campaignd::server::request(std::path::Path::new(sock), &line)
-                .map_err(CliError::Failed)?;
-            return Ok(format!("{resp}\n"));
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = sock;
-            return Err(CliError::Usage("--socket needs a Unix platform".into()));
-        }
+        let line = match args.options.get("--campaign") {
+            Some(name) => format!(r#"{{"op":"status","campaign":"{name}"}}"#),
+            None => r#"{"op":"status"}"#.to_string(),
+        };
+        return over_socket(sock, SocketOp::Request(line));
     }
 
     let root = campaign_root(args)?;
@@ -1198,7 +1178,7 @@ pub fn cmd_campaign_merge(args: &Args) -> Result<String, CliError> {
     let store = CampaignStore::open(std::path::Path::new(dir)).map_err(CliError::Failed)?;
     let (report_path, metrics) = merge_store(&store).map_err(CliError::Failed)?;
     let mut note = String::new();
-    if let Some(out) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(out) = args.out() {
         std::fs::copy(&report_path, out).map_err(fail)?;
         note.push_str(&format!("copied report to {out}\n"));
     }
@@ -1233,8 +1213,8 @@ pub fn cmd_fly(args: &Args) -> Result<String, CliError> {
         })?,
         None => Scenario::Hover,
     };
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
-    let steps = u64::from(parse_num(args.options.get("--steps"), 3000)?);
+    let seed = args.get("--seed")?.unwrap_or(0x2015);
+    let steps = args.get("--steps")?.unwrap_or(3000);
 
     let fw = synth_firmware::build(&apps::synth_quad_flight(), &BuildOptions::safe_mavr())
         .map_err(fail)?;
@@ -1267,7 +1247,7 @@ pub fn cmd_fly(args: &Args) -> Result<String, CliError> {
     if args.flags.contains("json") {
         let mut out = samples.join("\n");
         out.push('\n');
-        if let Some(path) = args.options.get("-o").or(args.options.get("--out")) {
+        if let Some(path) = args.out() {
             std::fs::write(path, &out).map_err(fail)?;
             return Ok(format!(
                 "wrote {} trajectory samples to {path}\n",
@@ -1296,24 +1276,20 @@ pub fn cmd_fly(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Parse a `--loss` / `--fault` style comma-separated probability list.
-fn parse_prob_list(args: &Args, key: &str, default: Vec<f64>) -> Result<Vec<f64>, CliError> {
-    match args.options.get(key) {
-        Some(list) => list
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(|p| {
-                p.parse::<f64>()
-                    .ok()
-                    .filter(|l| (0.0..=1.0).contains(l))
-                    .ok_or_else(|| {
-                        CliError::Usage(format!("bad {key} `{p}` (probabilities in 0..=1)"))
-                    })
-            })
-            .collect::<Result<_, _>>(),
-        None => Ok(default),
-    }
+/// Parse a `--loss` / `--fault` style comma-separated number list.
+fn f64_list(args: &Args, key: &str) -> Result<Option<Vec<f64>>, CliError> {
+    args.options
+        .get(key)
+        .map(|list| {
+            list.split(',')
+                .map(str::trim)
+                .filter(|p| !p.is_empty())
+                .map(|p| {
+                    f64::parse_opt(p).ok_or_else(|| CliError::Usage(format!("bad {key} `{p}`")))
+                })
+                .collect()
+        })
+        .transpose()
 }
 
 /// Stderr sink for `--progress`: renders each campaign heartbeat as one
@@ -1372,185 +1348,82 @@ fn write_metrics(
 }
 
 /// Shared implementation of `fleet` and `chaos` — the two differ only in
-/// the default fault sweep.
-fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, CliError> {
-    use mavr_fleet::{
-        merge_shard_checkpoints, parse_scenarios, run_shard_resume, CampaignConfig,
-        PreparedCampaign, ShardCheckpoint,
-    };
+/// the default fault sweep. The flags fill a campaign spec, whose
+/// `to_config` is the only way to an engine config; `--no-fusion` and
+/// `--progress` are engine knobs outside the campaign's identity.
+fn run_campaign_cmd(args: &Args, default_faults: &[f64]) -> Result<String, CliError> {
     use std::io::Write;
 
-    let defaults = CampaignConfig::default();
-    let app = match args.positional.first() {
-        Some(name) => app_by_name(name)?,
-        None => defaults.app,
-    };
-    let scenarios = match args.options.get("--scenario") {
-        Some(list) => parse_scenarios(list).map_err(CliError::Usage)?,
-        None => defaults.scenarios,
-    };
-    let loss_levels = parse_prob_list(args, "--loss", defaults.loss_levels.clone())?;
-    let fault_levels = parse_prob_list(args, "--fault", default_faults)?;
-    if scenarios.is_empty() || loss_levels.is_empty() || fault_levels.is_empty() {
-        return Err(CliError::Usage(
-            "empty --scenario, --loss or --fault list".into(),
-        ));
+    let mut spec = mavr_campaignd::CampaignSpec::named("fleet");
+    if let Some(app) = args.positional.first() {
+        spec.app = app.clone();
     }
-    let mut cfg = CampaignConfig {
-        seed: u64::from(parse_num(args.options.get("--seed"), 0x2015)?),
-        boards: parse_num(args.options.get("--boards"), defaults.boards as u32)? as usize,
-        scenarios,
-        loss_levels,
-        fault_levels,
-        warmup_cycles: u64::from(parse_num(
-            args.options.get("--warmup"),
-            defaults.warmup_cycles as u32,
-        )?),
-        attack_cycles: u64::from(parse_num(
-            args.options.get("--cycles"),
-            defaults.attack_cycles as u32,
-        )?),
-        threads: parse_num(args.options.get("--threads"), 0)? as usize,
-        gcs_capacity: parse_num(args.options.get("--capacity"), defaults.gcs_capacity as u32)?
-            as usize,
-        app,
-        ..defaults
-    };
-    if cfg.boards == 0 {
-        return Err(CliError::Usage("--boards must be at least 1".into()));
+    if let Some(list) = args.options.get("--scenario") {
+        spec.scenarios = mavr_fleet::parse_scenarios(list).map_err(CliError::Usage)?;
     }
-    cfg.tenant = match args.options.get("--tenant") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage("bad --tenant (u64)".into()))?,
-        None => 0,
-    };
+    spec.loss_levels = f64_list(args, "--loss")?.unwrap_or(spec.loss_levels);
+    spec.fault_levels = f64_list(args, "--fault")?.unwrap_or_else(|| default_faults.to_vec());
+    spec.seed = args.get("--seed")?.unwrap_or(spec.seed);
+    spec.boards = args.get("--boards")?.unwrap_or(spec.boards);
+    spec.warmup_cycles = args.get("--warmup")?.unwrap_or(spec.warmup_cycles);
+    spec.attack_cycles = args.get("--cycles")?.unwrap_or(spec.attack_cycles);
+    spec.threads = args.get("--threads")?.unwrap_or(spec.threads);
+    spec.tenant = args.get("--tenant")?.unwrap_or(spec.tenant);
+    spec.physics = args.flags.contains("physics");
+    let mut cfg = spec.to_config().map_err(CliError::Usage)?;
     cfg.block_fusion = !args.flags.contains("no-fusion");
-    cfg.physics = args.flags.contains("physics");
     if args.flags.contains("progress") {
         cfg.telemetry = telemetry::Telemetry::new(ProgressPrinter::default());
     }
 
-    let file_out = args.options.get("-o").or(args.options.get("--out"));
-    let ckpt_path = args.options.get("--checkpoint");
-    let total = cfg.total_jobs() as u64;
-    // Every run is one shard spanning the whole job space.
-    let mut shard = match ckpt_path {
-        Some(path) => {
-            let shard = ShardCheckpoint::load_or(std::path::Path::new(path), || {
-                ShardCheckpoint::whole(&cfg)
-            })
-            .map_err(CliError::Failed)?;
-            if (shard.job_lo, shard.job_hi) != (0, total) {
-                return Err(CliError::Failed(format!(
-                    "{path} holds jobs {}..{}, not this campaign's 0..{total} \
-                     (campaign-service shards resume with `serve`)",
-                    shard.job_lo, shard.job_hi
-                )));
-            }
-            // Ctrl-C / SIGTERM trip the cooperative flag: workers finish the
-            // boards they hold and the checkpoint below is flushed valid.
-            cfg.interrupt = mavr_campaignd::signal::install();
-            shard
-        }
-        None => ShardCheckpoint::whole(&cfg),
-    };
-    let budget = args
-        .options
-        .get("--max-jobs")
-        .filter(|_| ckpt_path.is_some())
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| CliError::Usage("bad --max-jobs".into()))
-        })
-        .transpose()?;
-    // `--jsonl -o FILE` without a checkpoint streams outcome lines to the
-    // file *as boards finish* (tail -f friendly); the final bytes are
-    // to_jsonl()'s, line for line.
-    let stream_to = file_out.filter(|_| ckpt_path.is_none() && args.flags.contains("jsonl"));
-    let mut sink = stream_to
+    let file_out = args.out();
+    let jsonl = args.flags.contains("jsonl");
+    // `--jsonl -o FILE` streams outcome lines to the file *as boards
+    // finish* (tail -f friendly); the final bytes are to_jsonl()'s, line
+    // for line.
+    let mut sink = file_out
+        .filter(|_| jsonl)
         .map(|path| std::fs::File::create(path).map(std::io::BufWriter::new))
         .transpose()
         .map_err(fail)?;
     let mut stream_err = None;
-    let done_before = shard.outcomes.len();
-    let status = run_shard_resume(
-        &cfg,
-        &PreparedCampaign::new(&cfg),
-        &mut shard,
-        budget,
-        done_before,
-        |_, o| {
-            if let (Some(w), None) = (sink.as_mut(), &stream_err) {
-                stream_err = writeln!(w, "{}", o.to_json_line()).err();
-            }
-        },
-    )
-    .map_err(CliError::Failed)?;
-    if let Some(mut w) = sink {
-        w.flush().map_err(fail)?;
-    }
+    let report = mavr_fleet::run_campaign_streaming(&cfg, |o| {
+        if let (Some(w), None) = (sink.as_mut(), &stream_err) {
+            stream_err = writeln!(w, "{}", o.to_json_line()).err();
+        }
+    });
     if let Some(e) = stream_err {
         return Err(fail(e));
     }
-    if let Some(path) = ckpt_path {
-        // Write-to-temp + rename: a kill during the flush leaves the
-        // previous checkpoint intact, never a torn file.
-        mavr_campaignd::write_file_atomic(std::path::Path::new(path), &shard.to_bytes())
-            .map_err(CliError::Failed)?;
-        if !status.complete {
-            return Ok(format!(
-                "campaign {}checkpointed to {path}: {}/{total} jobs done \
-                 (+{} this run); rerun with the same arguments to continue\n",
-                if status.interrupted {
-                    "interrupted; "
-                } else {
-                    ""
-                },
-                shard.outcomes.len(),
-                status.ran,
-            ));
-        }
+    if let Some(mut w) = sink {
+        w.flush().map_err(fail)?;
     }
-    // A resumed campaign's metrics are a pure fold over its outcomes, so
-    // the registry is byte-identical to an uninterrupted run's.
-    let (report, metrics) = merge_shard_checkpoints(&cfg, vec![shard]).map_err(CliError::Failed)?;
     let mut metrics_note = String::new();
     if let Some(mpath) = args.options.get("--metrics-out") {
-        write_metrics(mpath, &metrics)?;
+        write_metrics(mpath, &report.metrics())?;
         metrics_note = format!("wrote campaign metrics to {mpath}\n");
     }
-    if let Some(path) = stream_to {
+    if let Some(path) = file_out {
+        // A file sink gets the machine-readable form.
+        let done = if jsonl {
+            "streamed campaign outcomes"
+        } else {
+            std::fs::write(path, report.to_json()).map_err(fail)?;
+            "wrote campaign report"
+        };
         return Ok(format!(
-            "{}streamed campaign outcomes to {path}\n{metrics_note}",
+            "{}{done} to {path}\n{metrics_note}",
             report.render()
         ));
     }
-    let rendered = if args.flags.contains("jsonl") {
+    // Machine-readable stdout stays pure JSON.
+    Ok(if jsonl {
         report.to_jsonl()
     } else if args.flags.contains("json") {
         report.to_json()
     } else {
-        report.render()
-    };
-    if let Some(path) = file_out {
-        // A file sink defaults to the machine-readable form.
-        let payload = if args.flags.contains("jsonl") {
-            report.to_jsonl()
-        } else {
-            report.to_json()
-        };
-        std::fs::write(path, payload).map_err(fail)?;
-        Ok(format!(
-            "{}wrote campaign report to {path}\n{metrics_note}",
-            report.render()
-        ))
-    } else if args.flags.contains("jsonl") || args.flags.contains("json") {
-        // Machine-readable stdout stays pure JSON.
-        Ok(rendered)
-    } else {
-        Ok(format!("{rendered}{metrics_note}"))
-    }
+        format!("{}{metrics_note}", report.render())
+    })
 }
 
 /// Help text.
@@ -1610,22 +1483,21 @@ COMMANDS:
         impacts, recovery outages); --json emits the trajectory as JSON
         lines. Same arguments, same flight — bit for bit.
   fleet [app] [--boards N] [--scenario LIST|all] [--loss L1,L2,..] [--seed N]
-        [--warmup N] [--cycles N] [--threads N] [--capacity N]
-        [--checkpoint FILE] [--max-jobs N] [--progress] [--no-fusion]
-        [--physics] [--metrics-out FILE] [--json | --jsonl] [-o FILE]
+        [--warmup N] [--cycles N] [--threads N] [--tenant N] [--progress]
+        [--no-fusion] [--physics] [--metrics-out FILE] [--json | --jsonl]
+        [-o FILE]
         Fly a many-UAV campaign over deterministic lossy links: every
         (scenario, loss, board) cell gets its own randomized board and
         link pair; prints the attack-success / recovery-rate table (or the
         full report as JSON). Identical arguments give byte-identical
-        JSON, whatever --threads is. --checkpoint persists completed jobs
-        as a one-shard checkpoint so an interrupted campaign resumes
-        (budgeted by --max-jobs) to the byte-identical report; checkpoint
-        files from before shard checkpoints, and campaign-service shards,
-        are refused. --progress streams live status lines to
-        stderr; --metrics-out dumps the campaign metrics registry at exit
-        (Prometheus text if FILE ends in .prom, JSON lines otherwise) —
-        the dump is byte-identical whatever --threads is, and identical
-        between checkpointed and uninterrupted runs. --no-fusion turns
+        JSON, whatever --threads is. The flags describe the same campaign
+        spec `serve --spec` runs, to the same report bytes: resumable,
+        budgeted or Ctrl-C-safe campaigns run there. Numbers are decimal
+        or 0x hex. --jsonl -o FILE streams outcome lines as boards finish.
+        --progress streams live status lines to stderr; --metrics-out
+        dumps the campaign metrics registry at exit (Prometheus text if
+        FILE ends in .prom, JSON lines otherwise) — the dump is
+        byte-identical whatever --threads is. --no-fusion turns
         off block-fused simulation (slower, identical report bytes;
         only the sim_block_* metrics change). --physics flies every
         board inside the physics arena (pair with the quad app): cells
@@ -1744,6 +1616,27 @@ mod tests {
         assert_eq!(a.options["-o"], "out");
         assert!(a.flags.contains("vulnerable"));
         assert!(parse_args(&s(&["--seed"])).is_err());
+
+        // The typed reader: decimal or 0x hex at every width; overflow and
+        // junk are usage errors, an absent key is `None`.
+        let a = parse_args(&s(&[
+            "--seed",
+            "18446744073709551615",
+            "--start",
+            "0x1f",
+            "--target",
+            "0x10000",
+            "--len",
+            "12x",
+        ]))
+        .unwrap();
+        assert_eq!(a.get::<u64>("--seed").unwrap(), Some(u64::MAX));
+        assert_eq!(a.get::<u16>("--start").unwrap(), Some(0x1f));
+        assert_eq!(a.get::<u64>("--target").unwrap(), Some(0x10000));
+        assert!(matches!(a.get::<u32>("--seed"), Err(CliError::Usage(_))));
+        assert!(matches!(a.get::<u16>("--target"), Err(CliError::Usage(_))));
+        assert!(matches!(a.get::<usize>("--len"), Err(CliError::Usage(_))));
+        assert_eq!(a.get::<u64>("--cycles").unwrap(), None);
     }
 
     #[test]
@@ -1811,6 +1704,8 @@ mod tests {
         assert!(out.contains("verify: CyclesExhausted"), "{out}");
         let surv = run(&s(&["survivors", &container, &rand_out])).unwrap();
         assert!(surv.contains("still valid"), "{surv}");
+        let out = run(&s(&["randomize", &container, "--seed", "0x10"])).unwrap();
+        assert!(out.contains("randomized with seed 16:"), "{out}");
     }
 
     #[test]
@@ -2136,88 +2031,6 @@ halt:
     }
 
     #[test]
-    fn fleet_checkpoint_resumes_to_identical_report() {
-        let ckpt = tmp("fleet-ckpt.bin");
-        let _ = std::fs::remove_file(&ckpt);
-        let common = [
-            "fleet",
-            "--boards",
-            "1",
-            "--scenario",
-            "benign,stealthy",
-            "--loss",
-            "0.05",
-            "--cycles",
-            "3000000",
-            "--threads",
-            "1",
-        ];
-        let direct = tmp("fleet-direct.json");
-        let mut a = common.to_vec();
-        a.extend(["-o", &direct]);
-        run(&s(&a)).unwrap();
-        // First budgeted leg: one of two jobs, then stop.
-        let mut a = common.to_vec();
-        a.extend(["--checkpoint", &ckpt, "--max-jobs", "1"]);
-        let out = run(&s(&a)).unwrap();
-        assert!(out.contains("1/2 jobs done"), "{out}");
-        // Second leg finishes and stitches the full report.
-        let resumed = tmp("fleet-resumed.json");
-        let mut a = common.to_vec();
-        a.extend(["--checkpoint", &ckpt, "-o", &resumed]);
-        let out = run(&s(&a)).unwrap();
-        assert!(out.contains("Fleet campaign"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&direct).unwrap(),
-            std::fs::read_to_string(&resumed).unwrap(),
-            "checkpointed campaign is not byte-identical to the direct run"
-        );
-        // A checkpoint from different arguments is refused.
-        let mut a = common.to_vec();
-        a.extend(["--seed", "9", "--checkpoint", &ckpt]);
-        assert!(matches!(run(&s(&a)), Err(CliError::Failed(_))));
-    }
-
-    #[test]
-    fn fleet_checkpoint_refuses_foreign_checkpoints_untouched() {
-        use mavr_fleet::{CampaignConfig, Scenario, ShardCheckpoint, ShardPlan};
-        let cfg = CampaignConfig {
-            boards: 1,
-            scenarios: vec![Scenario::Benign, Scenario::V2Stealthy],
-            attack_cycles: 3_000_000,
-            ..CampaignConfig::default()
-        };
-        let refused = |name: &str, blob: &[u8]| -> String {
-            let path = tmp(name);
-            std::fs::write(&path, blob).unwrap();
-            let mut a = "fleet --boards 1 --scenario benign,stealthy --cycles 3000000 --checkpoint"
-                .split(' ')
-                .collect::<Vec<_>>();
-            a.push(&path);
-            let Err(CliError::Failed(msg)) = run(&s(&a)) else {
-                panic!("foreign checkpoint {name} was not refused");
-            };
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                blob,
-                "refused file rewritten"
-            );
-            msg
-        };
-        // A blob of the retired whole-campaign kind (byte 4, what older
-        // builds wrote): the kind byte alone refuses it.
-        let mut old = ShardCheckpoint::whole(&cfg).to_bytes();
-        old[10] = 4;
-        let msg = refused("fleet-ckpt-v4.bin", &old);
-        assert!(msg.contains("unknown snapshot kind 4"), "{msg}");
-        // A campaign-service shard of the same campaign (shard-0001.ckpt
-        // of a one-job-per-shard plan) covers only part of the matrix.
-        let shard = ShardCheckpoint::new(&cfg, &ShardPlan::new(&cfg, 1), 1);
-        let msg = refused("fleet-ckpt-shard1.bin", &shard.to_bytes());
-        assert!(msg.contains("holds jobs 1..2"), "{msg}");
-    }
-
-    #[test]
     fn bad_usage_is_reported() {
         assert!(matches!(run(&s(&["frobnicate"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&s(&["build"])), Err(CliError::Usage(_))));
@@ -2243,6 +2056,7 @@ halt:
             &spec_path,
             r#"{
                 "name": "cli-e2e",
+                "seed": 18446744073709551615,
                 "boards": 2,
                 "scenarios": ["benign", "v2"],
                 "warmup_cycles": 200000,
@@ -2290,6 +2104,8 @@ halt:
         run(&s(&[
             "fleet",
             "tiny",
+            "--seed",
+            "18446744073709551615",
             "--boards",
             "2",
             "--scenario",

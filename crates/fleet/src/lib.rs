@@ -898,6 +898,19 @@ pub fn summarize(cfg: &CampaignConfig) -> CampaignSummary {
 /// report. Callers that can be interrupted keep the shard checkpoint
 /// themselves and resume it.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+    run_campaign_streaming(cfg, |_| {})
+}
+
+/// [`run_campaign`], handing each outcome to `on_outcome` in job order as
+/// soon as its prefix completes — what live JSONL streaming writes.
+///
+/// # Panics
+///
+/// As [`run_campaign`].
+pub fn run_campaign_streaming(
+    cfg: &CampaignConfig,
+    mut on_outcome: impl FnMut(&BoardOutcome),
+) -> CampaignReport {
     let mut shard = ShardCheckpoint::whole(cfg);
     run_shard_resume(
         cfg,
@@ -905,7 +918,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         &mut shard,
         None,
         0,
-        |_, _| {},
+        |_, o| on_outcome(o),
     )
     .expect("a fresh whole-campaign shard matches its own campaign");
     merge_shard_checkpoints(cfg, vec![shard])
@@ -1400,9 +1413,10 @@ mod tests {
         assert_ne!(t0.to_json(), t7.to_json());
     }
 
-    /// Flips the campaign's interrupt flag the first time a progress
-    /// heartbeat crosses the bus — a deterministic stand-in for SIGINT
-    /// arriving mid-run.
+    /// Flips the campaign's interrupt flag whenever a job is retried — a
+    /// deterministic stand-in for SIGINT arriving mid-run. Retries are
+    /// emitted on the worker running the job, so the flag is already set
+    /// when that worker finishes the job and looks for its next one.
     struct Tripwire {
         interrupt: Arc<AtomicBool>,
         seen: u64,
@@ -1410,7 +1424,7 @@ mod tests {
 
     impl telemetry::Recorder for Tripwire {
         fn record(&mut self, event: telemetry::Event) {
-            if event.kind == kinds::CAMPAIGN_PROGRESS {
+            if event.kind == kinds::JOB_RETRIED {
                 self.interrupt.store(true, Ordering::Relaxed);
             }
             self.seen += 1;
@@ -1424,19 +1438,44 @@ mod tests {
     fn interrupt_mid_run_leaves_a_valid_checkpoint_and_resume_is_byte_identical() {
         let uninterrupted = run_campaign(&small_cfg());
 
-        // Trip the flag from inside the run: with a zero heartbeat
-        // throttle, the first finished job interrupts the campaign.
-        let cfg = small_cfg();
-        let icfg = CampaignConfig {
-            progress_interval_ms: 0,
-            ..cfg.clone()
+        // Trip the flag from inside the run: under a flaky plan whose
+        // every job fails its first attempt and passes its retry, each of
+        // the two workers trips the flag inside its first job and then
+        // claims nothing more, so at most two of the four jobs run,
+        // whatever the scheduling. Sabotage is outside the fingerprint
+        // and a retried outcome is byte-identical, so the clean config
+        // resumes the checkpoint.
+        let cfg = CampaignConfig {
+            threads: 2,
+            ..small_cfg()
         };
+        let fails_once = |c: &CampaignConfig| {
+            (0..c.total_jobs()).all(|j| {
+                let job = job_at(c, j);
+                matches!(sabotage_mode(c, job, 0), Sabotage::Panic)
+                    && matches!(sabotage_mode(c, job, 1), Sabotage::Pass)
+            })
+        };
+        let sabotage = (0..)
+            .map(|seed| JobChaos {
+                flaky_rate: 0.5,
+                seed,
+                ..JobChaos::none()
+            })
+            .find(|&sabotage| {
+                fails_once(&CampaignConfig {
+                    sabotage,
+                    ..cfg.clone()
+                })
+            })
+            .unwrap();
         let icfg = CampaignConfig {
             telemetry: Telemetry::new(Tripwire {
-                interrupt: Arc::clone(&icfg.interrupt),
+                interrupt: Arc::clone(&cfg.interrupt),
                 seen: 0,
             }),
-            ..icfg
+            sabotage,
+            ..cfg
         };
         let mut ckpt = ShardCheckpoint::whole(&icfg);
         let status = resume(&icfg, &mut ckpt, None).unwrap();
@@ -1446,8 +1485,8 @@ mod tests {
         );
         let ran = ckpt.outcomes.len();
         assert!(
-            (1..4).contains(&ran),
-            "the tripwire stops the campaign mid-flight, saw {ran}/4"
+            (1..=2).contains(&ran),
+            "the tripwire stops each worker after its first job, saw {ran}/4"
         );
         assert_eq!(status.ran, ran);
         // An incomplete checkpoint never merges into a partial report.

@@ -2,8 +2,8 @@
 //! into contiguous, independently checkpointed segments, run in any order
 //! (or on any machine), and the shards merge back into the byte-identical
 //! [`CampaignReport`] a single uninterrupted run produces. An unsharded
-//! campaign ([`crate::run_campaign`], `fleet --checkpoint`) is simply a
-//! plan with one shard.
+//! campaign ([`crate::run_campaign`], `mavr-cli fleet`) is simply a plan
+//! with one shard.
 //!
 //! Why this is sound: the campaign is a pure function of its config, each
 //! job is independent, and every aggregate the report carries — cell
