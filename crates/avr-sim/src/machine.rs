@@ -17,7 +17,7 @@ use crate::periph::{
     Heartbeat, PortB, Pwm, Uart, Watchdog, OCR0A_ADDR, OCR0B_ADDR, PORTB_ADDR, UCSR0A_ADDR,
     UDR0_ADDR,
 };
-use crate::profiler::{CycleProfile, Flow, PcProfile};
+use crate::profiler::{CycleProfile, Flow};
 use crate::timer::{self, Timer0, TCCR0B_ADDR, TCNT0_ADDR, TIFR0_ADDR, TIMSK0_ADDR};
 
 /// PORTB bit used as the heartbeat signal to the MAVR master processor.
@@ -128,8 +128,6 @@ pub struct Machine {
     /// are emitted here from the cold failure path only, so the hot loop is
     /// unaffected.
     pub telemetry: Telemetry,
-    /// Opt-in hot-PC histogram (see [`Machine::enable_profile`]).
-    profile: Option<PcProfile>,
     /// Opt-in symbol-attributed cycle profiler (see
     /// [`Machine::enable_cycle_profile`]). Boxed: it is cold and large
     /// relative to the hot machine state.
@@ -202,7 +200,6 @@ impl Machine {
             insns_retired: 0,
             interrupts_taken: 0,
             telemetry: Telemetry::off(),
-            profile: None,
             cycle_profile: None,
             icache: Vec::new(),
             predecode: true,
@@ -713,9 +710,6 @@ impl Machine {
                 u16::from_le_bytes([self.data[SPL_DATA as usize], self.data[SPH_DATA as usize]]);
             t.record(self.pc * 2, sp);
         }
-        if let Some(p) = &mut self.profile {
-            p.record(self.pc * 2);
-        }
         let pc0 = self.pc;
         let width = u32::from(entry.width);
         self.pc += width;
@@ -772,7 +766,6 @@ impl Machine {
         if self.predecode
             && self.breakpoints.is_empty()
             && self.trace.is_none()
-            && self.profile.is_none()
             && self.cycle_profile.is_none()
         {
             return self.run_fast(limit);
@@ -1708,22 +1701,6 @@ impl Machine {
     /// The trace buffer, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// Enable the hot-PC histogram profiler, bucketing flash into
-    /// `bucket_bytes`-sized bins.
-    pub fn enable_profile(&mut self, bucket_bytes: u32) {
-        self.profile = Some(PcProfile::new(self.device.flash_bytes, bucket_bytes));
-    }
-
-    /// Disable profiling and drop the histogram.
-    pub fn disable_profile(&mut self) {
-        self.profile = None;
-    }
-
-    /// The PC histogram, if profiling is enabled.
-    pub fn profile(&self) -> Option<&PcProfile> {
-        self.profile.as_ref()
     }
 
     /// Enable the symbol-attributed cycle profiler over `image`'s symbol

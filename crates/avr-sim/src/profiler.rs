@@ -1,76 +1,15 @@
-//! Opt-in profilers: a hot-PC histogram and a symbol-attributed cycle
-//! profiler.
+//! Opt-in symbol-attributed cycle profiler.
 //!
 //! Attack forensics often start with "where was the CPU spending its time?"
 //! — a tight polling loop in the firmware looks very different from a ROP
-//! chain walking gadget epilogues scattered across flash. [`PcProfile`]
-//! buckets every executed program-counter value into fixed-size flash bins
-//! and reports the hottest ones. [`CycleProfile`] goes further: it follows
-//! the call/return flow, maintains a shadow call stack of *symbols*, and
-//! attributes every consumed cycle to the function executing it — both
-//! exclusively (the frame on top) and inclusively (every frame on the
-//! stack), with a folded-stacks text export any flamegraph renderer eats.
+//! chain walking gadget epilogues scattered across flash. [`CycleProfile`]
+//! follows the call/return flow, maintains a shadow call stack of
+//! *symbols*, and attributes every consumed cycle to the function executing
+//! it — both exclusively (the frame on top) and inclusively (every frame on
+//! the stack), with a folded-stacks text export any flamegraph renderer
+//! eats.
 
 use avr_core::image::FirmwareImage;
-
-/// Histogram of executed PC values over fixed-size flash buckets.
-///
-/// Enabled via `Machine::enable_profile`; one array index increment per
-/// instruction while active, nothing when off.
-#[derive(Debug, Clone)]
-pub struct PcProfile {
-    counts: Vec<u64>,
-    bucket_bytes: u32,
-    total: u64,
-}
-
-impl PcProfile {
-    /// Histogram over `flash_bytes` of flash in `bucket_bytes` bins
-    /// (clamped to ≥ 2 bytes, i.e. one instruction word).
-    pub fn new(flash_bytes: u32, bucket_bytes: u32) -> Self {
-        let bucket_bytes = bucket_bytes.max(2);
-        let buckets = flash_bytes.div_ceil(bucket_bytes) as usize;
-        PcProfile {
-            counts: vec![0; buckets.max(1)],
-            bucket_bytes,
-            total: 0,
-        }
-    }
-
-    /// Count one instruction fetched from byte address `pc_bytes`.
-    pub fn record(&mut self, pc_bytes: u32) {
-        let idx = (pc_bytes / self.bucket_bytes) as usize;
-        if let Some(c) = self.counts.get_mut(idx) {
-            *c += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Bucket width in bytes.
-    pub fn bucket_bytes(&self) -> u32 {
-        self.bucket_bytes
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The `n` hottest buckets as `(start_byte_addr, count)`, hottest first.
-    /// Empty buckets are never reported.
-    pub fn hot(&self, n: usize) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32 * self.bucket_bytes, c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
-}
 
 /// How control left the profiled instruction, as far as the shadow call
 /// stack is concerned.
@@ -335,29 +274,6 @@ impl CycleProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_and_hot_ranking() {
-        let mut p = PcProfile::new(1024, 64);
-        for _ in 0..5 {
-            p.record(0); // bucket 0
-        }
-        for _ in 0..9 {
-            p.record(130); // bucket 2
-        }
-        p.record(1023); // last bucket
-        assert_eq!(p.total(), 15);
-        assert_eq!(p.hot(2), vec![(128, 9), (0, 5)]);
-        assert_eq!(p.hot(10).len(), 3, "empty buckets are skipped");
-    }
-
-    #[test]
-    fn out_of_range_pc_counts_toward_total_only() {
-        let mut p = PcProfile::new(64, 64);
-        p.record(100_000);
-        assert_eq!(p.total(), 1);
-        assert!(p.hot(4).is_empty());
-    }
 
     fn three_funcs() -> CycleProfile {
         CycleProfile::from_symbols([

@@ -55,7 +55,7 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
         .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)

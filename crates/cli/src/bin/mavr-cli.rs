@@ -8,7 +8,7 @@ fn main() {
         Err(e) => {
             eprintln!("mavr: {e}");
             if matches!(e, mavr_tools::CliError::Usage(_)) {
-                eprintln!("\n{}", mavr_tools::HELP);
+                eprintln!("\n{}", mavr_tools::help());
             }
             std::process::exit(1);
         }

@@ -64,6 +64,7 @@ use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{ChaosConfig, FaultPlan, MasterError, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
+use rand::mix64;
 use rop::attack::AttackContext;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -202,7 +203,7 @@ impl CampaignConfig {
         if self.tenant == 0 {
             self.seed
         } else {
-            self.seed ^ derive_seed(self.tenant, TENANT_STREAM)
+            self.seed ^ mix64(self.tenant, TENANT_STREAM)
         }
     }
 
@@ -267,16 +268,6 @@ impl JobChaos {
     pub fn is_none(&self) -> bool {
         self.panic_rate == 0.0 && self.hang_rate == 0.0 && self.flaky_rate == 0.0
     }
-}
-
-/// Splitmix64-style per-job stream derivation: every `(campaign seed,
-/// stream index)` pair yields an independent seed that never depends on
-/// which worker thread consumed the job.
-fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One entry of the campaign matrix, in job order.
@@ -350,7 +341,7 @@ fn unflown_outcome(cfg: &CampaignConfig, job: Job) -> BoardOutcome {
         loss: job.loss,
         fault: job.fault,
         board_index: job.board_index,
-        board_seed: derive_seed(cfg.stream_base(), job.base_index as u64 * 3),
+        board_seed: mix64(cfg.stream_base(), job.base_index as u64 * 3),
         ..BoardOutcome::default()
     }
 }
@@ -383,19 +374,17 @@ fn fly_board(
         max_delay: 0,
         seed: 0,
     };
-    let mut up = LossyChannel::new(
-        loss_cfg.with_seed(derive_seed(stream_base, job.base_index as u64 * 3 + 1)),
-    );
-    let mut down = LossyChannel::new(
-        loss_cfg.with_seed(derive_seed(stream_base, job.base_index as u64 * 3 + 2)),
-    );
+    let mut up =
+        LossyChannel::new(loss_cfg.with_seed(mix64(stream_base, job.base_index as u64 * 3 + 1)));
+    let mut down =
+        LossyChannel::new(loss_cfg.with_seed(mix64(stream_base, job.base_index as u64 * 3 + 2)));
     let mut gcs = GroundStation::with_capacity(cfg.gcs_capacity);
     // The fault plan is inert (and entropy-free) at rate 0, seeded otherwise
     // from a stream (top bit set, keyed by the full job index) disjoint from
     // the board/channel streams at `3b..` of the fault-independent base.
     let faults = if job.fault > 0.0 {
         FaultPlan::new(
-            derive_seed(stream_base, (1u64 << 63) | job.job_index as u64),
+            mix64(stream_base, (1u64 << 63) | job.job_index as u64),
             ChaosConfig::uniform(job.fault),
         )
     } else {
@@ -426,7 +415,7 @@ fn fly_board(
     // fault rate) and disjoint from the board/channel streams at `3b..`
     // and the fault streams at `(1 << 63) | job_index`.
     let mut flyer = if cfg.physics {
-        let world_seed = derive_seed(stream_base, (1u64 << 62) | job.base_index as u64);
+        let world_seed = mix64(stream_base, (1u64 << 62) | job.base_index as u64);
         Flyer::Physics(Box::new(FlightHarness::new(
             board,
             World::new(mavr_world::Scenario::Hover, world_seed),
@@ -568,7 +557,7 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
     // Slot 7: the job's persistent fate — the same draw on every attempt,
     // which is what makes a poison job *persistently* failing and its
     // quarantine deterministic.
-    let fate = unit_draw(derive_seed(sb.seed, slots | 7));
+    let fate = unit_draw(mix64(sb.seed, slots | 7));
     if fate < sb.panic_rate {
         return Sabotage::Panic;
     }
@@ -577,7 +566,7 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
     }
     // Slots 0..=5: independent per-attempt transient draws.
     if sb.flaky_rate > 0.0 {
-        let transient = unit_draw(derive_seed(sb.seed, slots | u64::from(attempt.min(5))));
+        let transient = unit_draw(mix64(sb.seed, slots | u64::from(attempt.min(5))));
         if transient < sb.flaky_rate {
             return Sabotage::Panic;
         }
@@ -591,7 +580,7 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
 /// byte-identical however long the retries actually slept.
 fn job_backoff(cfg: &CampaignConfig, job: Job, attempt: u32) -> Duration {
     let base = JOB_BACKOFF_BASE_MS << attempt;
-    let jitter = derive_seed(
+    let jitter = mix64(
         cfg.sabotage.seed,
         SABOTAGE_STREAM | ((job.job_index as u64) << 3) | 6,
     ) % base.max(1);
@@ -998,7 +987,7 @@ mod tests {
 
     #[test]
     fn derive_seed_streams_are_distinct() {
-        let s: std::collections::BTreeSet<u64> = (0..64).map(|i| derive_seed(7, i)).collect();
+        let s: std::collections::BTreeSet<u64> = (0..64).map(|i| mix64(7, i)).collect();
         assert_eq!(s.len(), 64);
     }
 
@@ -1396,7 +1385,7 @@ mod tests {
                     (1 << 63) | job,
                     (1 << 62) | job,
                 ] {
-                    seen.insert(derive_seed(base, stream));
+                    seen.insert(mix64(base, stream));
                     count += 1;
                 }
             }

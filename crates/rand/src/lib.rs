@@ -11,6 +11,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Splitmix64 finalizer over `(base, stream)`: an independent 64-bit seed
+/// for every stream index of a base seed. Deterministic and stateless, so a
+/// value depends only on its two inputs, never on call order or thread.
+#[inline]
+pub fn mix64(base: u64, stream: u64) -> u64 {
+    let mut z = base ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Low-level entropy source: everything else is derived from `next_u64`.
 pub trait RngCore {
     /// The next 64 uniformly random bits.

@@ -249,14 +249,20 @@ impl<'a> Reader<'a> {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let kind = Kind::from_u8(blob[10]).ok_or(SnapshotError::BadKind(blob[10]))?;
-        let len = u64::from_le_bytes(blob[11..19].try_into().expect("8 bytes")) as usize;
-        let total = header + len + 4;
+        // The length field is untrusted: a value too large to add up
+        // saturates, so it reads as a truncated blob.
+        let len = u64::from_le_bytes(blob[11..19].try_into().expect("8 bytes"));
+        let total = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_add(header + 4))
+            .unwrap_or(usize::MAX);
         if blob.len() < total {
             return Err(SnapshotError::Truncated {
                 needed: total,
                 have: blob.len(),
             });
         }
+        let len = total - header - 4;
         let payload = &blob[header..header + len];
         let stored = u32::from_le_bytes(
             blob[header + len..header + len + 4]
@@ -878,6 +884,15 @@ mod tests {
         for cut in [0, 4, 10, 18, blob.len() - 1] {
             assert!(matches!(
                 decode_machine(&blob[..cut]),
+                Err(SnapshotError::Truncated { .. })
+            ));
+        }
+        // A length field near u64::MAX is truncation, not an overflow.
+        for len in [u64::MAX - 5, u64::MAX] {
+            let mut bad = blob.clone();
+            bad[11..19].copy_from_slice(&len.to_le_bytes());
+            assert!(matches!(
+                decode_machine(&bad),
                 Err(SnapshotError::Truncated { .. })
             ));
         }

@@ -212,7 +212,10 @@ impl QuantileSketch {
             prev = Some(idx);
             buckets.insert(idx, u64::from_le_bytes(chunk[2..].try_into().unwrap()));
         }
-        if buckets.values().sum::<u64>() != count {
+        let total = buckets
+            .values()
+            .try_fold(0u64, |acc, &n| acc.checked_add(n))?;
+        if total != count {
             return None;
         }
         Some(QuantileSketch {
@@ -755,6 +758,18 @@ mod tests {
         let back = QuantileSketch::from_bytes(&whole.to_bytes()).unwrap();
         assert_eq!(back, whole);
         assert_eq!(QuantileSketch::from_bytes(b"MQSKgarbage"), None);
+        // Two saturated buckets overflow the bucket sum: rejected, whatever
+        // the claimed count (the wrapped sum would be u64::MAX - 1).
+        let mut huge = b"MQSK\x01".to_vec();
+        for field in [u64::MAX - 1, 0, 0, 0] {
+            huge.extend_from_slice(&field.to_le_bytes());
+        }
+        huge.extend_from_slice(&2u32.to_le_bytes());
+        for idx in [1u16, 2] {
+            huge.extend_from_slice(&idx.to_le_bytes());
+            huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        }
+        assert_eq!(QuantileSketch::from_bytes(&huge), None);
         assert_eq!(
             QuantileSketch::from_bytes(&QuantileSketch::new().to_bytes()),
             Some(QuantileSketch::new())
