@@ -161,8 +161,10 @@ impl FirmwareImage {
                 return Err(format!("symbol {} out of address order", s.name));
             }
             prev_addr = s.addr;
-            if s.end() as usize > self.bytes.len() {
-                return Err(format!("symbol {} extends past image end", s.name));
+            // Checked: a hostile container can carry any `addr + size`.
+            match s.addr.checked_add(s.size) {
+                Some(end) if end as usize <= self.bytes.len() => {}
+                _ => return Err(format!("symbol {} extends past image end", s.name)),
             }
             if s.addr % 2 != 0 {
                 return Err(format!("symbol {} at odd address {:#x}", s.name, s.addr));

@@ -24,8 +24,9 @@
 use avr_core::image::FirmwareImage;
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
-use mavr_board::{MavrBoard, SerialLink};
+use mavr_board::{FaultPlan, MavrBoard, SerialLink};
 pub use mavr_campaignd::json::Json;
+use mavr_fleet::{fly, FlightPlan, Flyer, Links};
 use rop::attack::AttackContext;
 use rop::scanner::{self, ScanOptions};
 use synth_firmware::{apps, build, layout as l, AppSpec, BuildOptions, FirmwareBuild};
@@ -179,9 +180,9 @@ pub fn effectiveness(spec: &AppSpec, trials: u64) -> Effectiveness {
     let gadget_survivors =
         scanner::survivors(&fw.image, &one_shuffle.image, &ScanOptions::default());
     let ctx = AttackContext::discover(&fw.image).expect("attack discovery");
-    let payload = ctx
+    let frames = [ctx
         .v2_payload(&[(l::GYRO + 3, [0xde, 0xad, 0x42])])
-        .expect("payload");
+        .expect("payload")];
 
     // Against the unprotected binary.
     let mut stock_successes = 0;
@@ -190,7 +191,7 @@ pub fn effectiveness(spec: &AppSpec, trials: u64) -> Effectiveness {
         m.load_flash(0, &fw.image.bytes);
         m.run(200_000);
         let mut gcs = GroundStation::new();
-        m.uart0.inject(&gcs.exploit_packet(&payload).unwrap());
+        m.uart0.inject(&gcs.exploit_packet(&frames[0]).unwrap());
         let exit = m.run(2_000_000);
         if exit.is_healthy() && m.peek_range(l::GYRO + 3, 3) == vec![0xde, 0xad, 0x42] {
             stock_successes = 1;
@@ -200,13 +201,19 @@ pub fn effectiveness(spec: &AppSpec, trials: u64) -> Effectiveness {
     // Against randomized boards.
     let mut randomized_successes = 0;
     let mut randomized_detected = 0;
+    let plan = FlightPlan {
+        warmup: 300_000,
+        frames: &frames,
+        gap: 0,
+        attack: 6_000_000,
+    };
     for seed in 0..trials {
-        let mut board = MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default())
+        let board = MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default())
             .expect("provision");
-        board.run(300_000).expect("run");
-        let mut gcs = GroundStation::new();
-        board.uplink(&gcs.exploit_packet(&payload).unwrap());
-        board.run(6_000_000).expect("run");
+        let mut flyer = Flyer::Plain(Box::new(board));
+        let flight = fly(&plan, &mut flyer, &mut Links::perfect(), |_| {});
+        assert_eq!(flight.bricked, None, "the master recovers every failure");
+        let board = flyer.board();
         if board.app.machine.peek_range(l::GYRO + 3, 3) == vec![0xde, 0xad, 0x42] {
             randomized_successes += 1;
         }
@@ -279,11 +286,12 @@ pub fn counters(cycles: u64) -> Vec<Row> {
         .iter()
         .map(|fw| {
             let tele = Telemetry::new(NullRecorder::default());
-            let c = match MavrBoard::provision_with(
+            let c = match MavrBoard::provision_chaos(
                 &fw.image,
                 1,
                 RandomizationPolicy::default(),
                 tele.clone(),
+                FaultPlan::none(),
             ) {
                 Ok(mut board) => {
                     board.run(cycles).expect("healthy flight");

@@ -15,14 +15,17 @@ pub(crate) fn machine_with(bytes: &[u8]) -> avr_sim::Machine {
     m
 }
 
-/// The paper's V2 stealthy exploit as uplink bytes, its gadget addresses
-/// taken from the layout `ctx` was discovered on.
+/// The paper's V2 stealthy exploit payload, its gadget addresses taken
+/// from the layout `ctx` was discovered on.
+fn v2_payload(ctx: &AttackContext) -> Result<Vec<u8>, CliError> {
+    ctx.v2_payload(&[(ATTACK_TARGET, ATTACK_VALUES)])
+        .map_err(fail)
+}
+
+/// [`v2_payload`] framed as uplink bytes.
 fn v2_wire(ctx: &AttackContext) -> Result<Vec<u8>, CliError> {
-    let payload = ctx
-        .v2_payload(&[(ATTACK_TARGET, ATTACK_VALUES)])
-        .map_err(fail)?;
     mavlink_lite::GroundStation::new()
-        .exploit_packet(&payload)
+        .exploit_packet(&v2_payload(ctx)?)
         .map_err(fail)
 }
 
@@ -95,7 +98,8 @@ pub(crate) fn cmd_profile(args: &Args) -> Result<String, CliError> {
 
 pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
     use mavr::policy::RandomizationPolicy;
-    use mavr_board::MavrBoard;
+    use mavr_board::{FaultPlan, MavrBoard};
+    use mavr_fleet::{fly, FlightPlan, Flyer, Links};
     use telemetry::{Recorder, RingRecorder, Telemetry, Value};
 
     let scenario = args.value("--scenario").unwrap_or("stealthy-attack");
@@ -111,11 +115,12 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
         "boot" => {
             // Provision lifecycle: container read -> randomize -> stream ->
             // program -> watchdog arm, then a quiet flight and a reboot.
-            let mut board = MavrBoard::provision_with(
+            let mut board = MavrBoard::provision_chaos(
                 &fw.image,
                 seed,
                 RandomizationPolicy::default(),
                 t.clone(),
+                FaultPlan::none(),
             )
             .map_err(fail)?;
             board.run(cycles).map_err(fail)?;
@@ -175,19 +180,29 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
             // the master recovers — quietly find a board seed that produces
             // that (the master's RNG is deterministic per seed), then replay
             // it with the recorder attached.
-            let wire = v2_wire(&AttackContext::discover(&fw.image).map_err(fail)?)?;
-            let attack_round = |board: &mut MavrBoard| -> Result<(), CliError> {
-                board.run(300_000).map_err(fail)?;
-                board.uplink(&wire);
-                board.run(cycles.max(4_000_000)).map_err(fail)?;
-                Ok(())
+            let stock = AttackContext::discover(&fw.image).map_err(fail)?;
+            let frames = [v2_payload(&stock)?];
+            let wire_bytes = v2_wire(&stock)?.len() as u64;
+            let plan = FlightPlan {
+                warmup: 300_000,
+                frames: &frames,
+                gap: 0,
+                attack: cycles.max(4_000_000),
+            };
+            let attack_round = |board: MavrBoard, on_inject: &mut dyn FnMut(u64)| {
+                let mut flyer = Flyer::Plain(Box::new(board));
+                match fly(&plan, &mut flyer, &mut Links::perfect(), on_inject).bricked {
+                    Some(e) => Err(fail(e)),
+                    None => Ok(flyer),
+                }
             };
             let mut chosen = None;
             for probe in 0..32u64 {
                 let s = seed.wrapping_add(probe);
-                let mut board = MavrBoard::provision(&fw.image, s, RandomizationPolicy::default())
+                let board = MavrBoard::provision(&fw.image, s, RandomizationPolicy::default())
                     .map_err(fail)?;
-                attack_round(&mut board)?;
+                let flyer = attack_round(board, &mut |_| {})?;
+                let board = flyer.board();
                 if board.recoveries() >= 1 {
                     let faulted = board.last_crash.as_ref().is_some_and(|c| c.fault.is_some());
                     if chosen.is_none() || faulted {
@@ -202,21 +217,25 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
                 CliError::Failed("no probed seed produced a detected failed attack".into())
             })?;
             let ctx = AttackContext::discover_with(&fw.image, &t).map_err(fail)?;
-            let mut board =
-                MavrBoard::provision_with(&fw.image, s, RandomizationPolicy::default(), t.clone())
-                    .map_err(fail)?;
+            let mut board = MavrBoard::provision_chaos(
+                &fw.image,
+                s,
+                RandomizationPolicy::default(),
+                t.clone(),
+                FaultPlan::none(),
+            )
+            .map_err(fail)?;
             board.forensic_annotations = ctx.annotations();
-            board.run(300_000).map_err(fail)?;
-            let (len, cycle) = (wire.len(), board.app.machine.cycles());
-            t.emit("attack.injected", Some(cycle), || {
-                vec![
-                    ("variant", Value::Str("v2".into())),
-                    ("wire_bytes", Value::U64(len as u64)),
-                    ("target", Value::U64(u64::from(ATTACK_TARGET))),
-                ]
-            });
-            board.uplink(&wire);
-            board.run(cycles.max(4_000_000)).map_err(fail)?;
+            let flyer = attack_round(board, &mut |cycle| {
+                t.emit("attack.injected", Some(cycle), || {
+                    vec![
+                        ("variant", Value::Str("v2".into())),
+                        ("wire_bytes", Value::U64(wire_bytes)),
+                        ("target", Value::U64(u64::from(ATTACK_TARGET))),
+                    ]
+                });
+            })?;
+            let board = flyer.board();
             let overwritten = board.app.machine.peek_range(ATTACK_TARGET, 3) == ATTACK_VALUES;
             narrative.push_str(&format!(
                 "stealthy-attack scenario (board seed {s}): attack succeeded = {overwritten}, \

@@ -42,11 +42,13 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod flight;
 pub mod report;
 pub mod scenario;
 pub mod shard;
 
 pub use checkpoint::config_fingerprint;
+pub use flight::{fly, Flight, FlightPlan, Flyer, Links};
 pub use mavlink_lite::RouterTotals;
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
@@ -62,7 +64,7 @@ pub use shard::{
 use mavlink_lite::channel::{LossConfig, LossyChannel};
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
-use mavr_board::{ChaosConfig, FaultPlan, MasterError, MavrBoard};
+use mavr_board::{ChaosConfig, FaultPlan, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
 use rand::mix64;
 use rop::attack::AttackContext;
@@ -288,50 +290,6 @@ struct Job {
     base_index: usize,
 }
 
-/// Drain the board's downlink through its lossy channel into the
-/// ground-station session.
-fn pump(board: &mut MavrBoard, down: &mut LossyChannel, gcs: &mut GroundStation) {
-    let bytes = board.downlink();
-    if !bytes.is_empty() {
-        let delivered = down.transmit(&bytes);
-        gcs.ingest(&delivered);
-    }
-}
-
-/// How a job's board advances: bare, or coupled to the physics arena.
-/// The plain arm is exactly the pre-physics engine — physics-off
-/// campaigns stay byte-identical to it.
-enum Flyer {
-    Plain(Box<MavrBoard>),
-    Physics(Box<FlightHarness>),
-}
-
-impl Flyer {
-    fn board(&self) -> &MavrBoard {
-        match self {
-            Flyer::Plain(b) => b,
-            Flyer::Physics(h) => &h.board,
-        }
-    }
-
-    fn board_mut(&mut self) -> &mut MavrBoard {
-        match self {
-            Flyer::Plain(b) => b,
-            Flyer::Physics(h) => &mut h.board,
-        }
-    }
-
-    /// Advance the flight: exactly `cycles` bare, or the enclosing whole
-    /// number of world steps with physics on (boundary-aligned, so the
-    /// rounding is identical however the campaign partitions the run).
-    fn run(&mut self, cycles: u64) -> Result<(), MasterError> {
-        match self {
-            Flyer::Plain(b) => b.run(cycles),
-            Flyer::Physics(h) => h.run_steps(cycles.div_ceil(CYCLES_PER_STEP)),
-        }
-    }
-}
-
 /// A board at `job`'s matrix coordinates with every observation zero: the
 /// outcome of a board that never flew (bricked on its first boot, or
 /// quarantined by the supervisor) and the base a flown board overwrites.
@@ -346,39 +304,32 @@ fn unflown_outcome(cfg: &CampaignConfig, job: Job) -> BoardOutcome {
     }
 }
 
-/// Provision one board and fly its scenario — the only place a campaign
-/// builds a board. Fully deterministic given the config and job
-/// description. Returns the board's ground-station session alongside the
+/// Provision one board and fly `plan` on it — the only place a campaign
+/// builds a board. Fully deterministic given the config, job description
+/// and plan. Returns the board's ground-station session alongside the
 /// outcome; the outcome already carries the session's lifetime counters.
 ///
 /// A board whose recovery pipeline fails terminally (typed
 /// [`mavr_board::MasterError`] after every retry and the degraded
 /// fallback) does **not** abort the campaign: its flight ends where it
 /// bricked and the outcome records the fact.
-///
-/// `runaway` is the sabotage plan's hang: instead of its scenario the
-/// board flies straight past the cycle-budget watchdog.
 fn fly_board(
     cfg: &CampaignConfig,
     prepared: &PreparedCampaign,
     job: Job,
-    runaway: bool,
+    plan: &FlightPlan,
 ) -> (BoardOutcome, GroundStation) {
     let base = unflown_outcome(cfg, job);
     let stream_base = cfg.stream_base();
-    let loss_cfg = LossConfig {
-        drop: job.loss,
-        corrupt: job.loss,
-        duplicate: job.loss,
-        delay: 0.0,
-        max_delay: 0,
-        seed: 0,
+    let link = |stream: u64| {
+        let seed = mix64(stream_base, job.base_index as u64 * 3 + stream);
+        LossyChannel::new(LossConfig::uniform(job.loss, seed))
     };
-    let mut up =
-        LossyChannel::new(loss_cfg.with_seed(mix64(stream_base, job.base_index as u64 * 3 + 1)));
-    let mut down =
-        LossyChannel::new(loss_cfg.with_seed(mix64(stream_base, job.base_index as u64 * 3 + 2)));
-    let mut gcs = GroundStation::with_capacity(cfg.gcs_capacity);
+    let mut links = Links {
+        up: link(1),
+        down: link(2),
+        gcs: GroundStation::with_capacity(cfg.gcs_capacity),
+    };
     // The fault plan is inert (and entropy-free) at rate 0, seeded otherwise
     // from a stream (top bit set, keyed by the full job index) disjoint from
     // the board/channel streams at `3b..` of the fault-independent base.
@@ -405,7 +356,7 @@ fn fly_board(
                 bricked: true,
                 ..base
             },
-            gcs,
+            links.gcs,
         );
     };
     board.app.machine.set_block_fusion(cfg.block_fusion);
@@ -423,51 +374,7 @@ fn fly_board(
     } else {
         Flyer::Plain(Box::new(board))
     };
-
-    let payloads = prepared.payloads[job.scenario_idx].as_deref();
-    let mut bricked = false;
-    let mut injected_at = None;
-    let mut attack_packets = 0;
-    'flight: {
-        if runaway {
-            // Bricked mid-hang or not, it was never going to finish.
-            let _ = flyer.run(job_cycle_budget(cfg) + 1);
-            break 'flight;
-        }
-        if flyer.run(cfg.warmup_cycles).is_err() {
-            bricked = true;
-            break 'flight;
-        }
-        pump(flyer.board_mut(), &mut down, &mut gcs);
-
-        injected_at = Some(flyer.board().app.machine.cycles());
-        // The altitude-excursion window opens at injection time: anything
-        // the hover accumulated during warmup is the board's own business,
-        // the attack window's peak isolates what the scenario cost it.
-        if let Flyer::Physics(h) = &mut flyer {
-            let _ = h.world.take_peak_alt_err();
-        }
-        attack_packets = payloads.map_or(0, <[Vec<u8>]>::len);
-        if let Some(packets) = payloads {
-            for (i, payload) in packets.iter().enumerate() {
-                let wire = gcs.exploit_packet(payload).expect("payload fits a frame");
-                flyer.board_mut().uplink(&up.transmit(&wire));
-                if i + 1 < packets.len() {
-                    if flyer.run(cfg.packet_gap_cycles).is_err() {
-                        bricked = true;
-                        break 'flight;
-                    }
-                    pump(flyer.board_mut(), &mut down, &mut gcs);
-                }
-            }
-            flyer.board_mut().uplink(&up.flush());
-        }
-        if flyer.run(cfg.attack_cycles).is_err() {
-            bricked = true;
-        }
-    }
-    pump(flyer.board_mut(), &mut down, &mut gcs);
-    gcs.ingest(&down.flush());
+    let flight = fly(plan, &mut flyer, &mut links, |_| {});
 
     let world = match &flyer {
         Flyer::Plain(_) => None,
@@ -480,22 +387,25 @@ fn fly_board(
     };
     let board = flyer.board();
     let block_stats = board.app.machine.block_stats();
+    // A board that bricked during warmup never sent its packets.
+    let attack_packets = flight.injected_at.map_or(0, |_| plan.frames.len());
     let attack_succeeded = attack_packets > 0
         && board.app.machine.peek_range(ATTACK_TARGET, 3) == ATTACK_VALUES.to_vec();
-    let time_to_recovery = injected_at.and_then(|at| {
+    let time_to_recovery = flight.injected_at.and_then(|at| {
         board
             .recovery_cycles()
             .into_iter()
             .find(|&c| c >= at)
             .map(|c| c - at)
     });
+    let Links { up, down, gcs } = links;
     let outcome = BoardOutcome {
         attack_packets,
         attack_succeeded,
         recoveries: board.recoveries(),
         reflash_retries: board.master.resilience.reflash_retries,
         degraded_boots: board.master.resilience.degraded_boots,
-        bricked,
+        bricked: flight.bricked.is_some(),
         time_to_recovery,
         final_cycle: board.app.machine.cycles(),
         heartbeats: gcs.heartbeats.total(),
@@ -598,7 +508,7 @@ fn run_job(cfg: &CampaignConfig, prepared: &PreparedCampaign, job: Job) -> Board
     let mut last = JobFailureKind::Panic;
     for attempt in 0..JOB_RETRY_CAP {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let runaway = match sabotage_mode(cfg, job, attempt) {
+            let hang = match sabotage_mode(cfg, job, attempt) {
                 Sabotage::Pass => false,
                 Sabotage::Panic => panic!(
                     "sabotage: poison job {} panicking on attempt {attempt}",
@@ -606,8 +516,20 @@ fn run_job(cfg: &CampaignConfig, prepared: &PreparedCampaign, job: Job) -> Board
                 ),
                 Sabotage::Hang => true,
             };
-            let (outcome, _gcs) = fly_board(cfg, prepared, job, runaway);
-            if runaway || outcome.final_cycle > job_cycle_budget(cfg) {
+            // A hang flies straight past the watchdog budget; bricked
+            // mid-hang or not, it was never going to finish.
+            let plan = if hang {
+                FlightPlan {
+                    warmup: job_cycle_budget(cfg) + 1,
+                    frames: &[],
+                    gap: 0,
+                    attack: 0,
+                }
+            } else {
+                FlightPlan::for_job(cfg, prepared, job)
+            };
+            let (outcome, _gcs) = fly_board(cfg, prepared, job, &plan);
+            if hang || outcome.final_cycle > job_cycle_budget(cfg) {
                 Err(JobFailureKind::Timeout)
             } else {
                 Ok(outcome)
@@ -1250,7 +1172,9 @@ mod tests {
         let mut router = mavlink_lite::Router::with_capacity(cfg.gcs_capacity);
         let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
         for index in 0..cfg.total_jobs() {
-            let (outcome, gcs) = fly_board(&cfg, &prepared, job_at(&cfg, index), false);
+            let job = job_at(&cfg, index);
+            let plan = FlightPlan::for_job(&cfg, &prepared, job);
+            let (outcome, gcs) = fly_board(&cfg, &prepared, job, &plan);
             router.adopt(index as u64, gcs);
             agg.fold(&outcome).unwrap();
         }

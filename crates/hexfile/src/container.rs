@@ -229,6 +229,17 @@ mod tests {
     }
 
     #[test]
+    fn symbol_extent_overflow_is_a_typed_error() {
+        // `0xfffffffe + 0x4` wraps a u32: the extent check must not panic
+        // (debug) or wrap into bounds (release).
+        let text = ";MAVR 1 ATmega2560\n;SYM F 0xfffffffe 0x4 evil\n:020000000C945E\n:00000001FF\n";
+        assert!(matches!(
+            MavrContainer::parse(text),
+            Err(ParseError::BadDirective { reason, .. }) if reason.contains("evil")
+        ));
+    }
+
+    #[test]
     fn inconsistent_image_rejected() {
         // Symbol extends beyond the carried bytes.
         let text = ";MAVR 1 ATmega2560\n;SYM F 0x0 0x100 foo\n:0100000055AA\n:00000001FF\n";

@@ -1,6 +1,19 @@
 //! Intel HEX encoding and decoding.
 
 use crate::ParseError;
+use avr_core::device::{ATMEGA1284P, ATMEGA2560};
+
+/// The most bytes a parsed HEX body may span: the largest flash of any
+/// modelled device. Two records far apart would otherwise make the parser
+/// allocate the whole gap between them.
+pub(crate) const MAX_SPAN: u32 = {
+    let (a, b) = (ATMEGA2560.flash_bytes, ATMEGA1284P.flash_bytes);
+    if a > b {
+        a
+    } else {
+        b
+    }
+};
 
 const RECORD_DATA: u8 = 0x00;
 const RECORD_EOF: u8 = 0x01;
@@ -130,10 +143,14 @@ pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
     let base = chunks.iter().map(|(a, _)| *a).min().unwrap();
     let end = chunks
         .iter()
-        .map(|(a, d)| *a as usize + d.len())
+        .map(|(a, d)| u64::from(*a) + d.len() as u64)
         .max()
         .unwrap();
-    let mut image = vec![0xff; end - base as usize];
+    let span = end - u64::from(base);
+    if span > u64::from(MAX_SPAN) {
+        return Err(ParseError::TooLarge { span });
+    }
+    let mut image = vec![0xff; span as usize];
     for (a, d) in chunks {
         let off = (a - base) as usize;
         image[off..off + d.len()].copy_from_slice(&d);
@@ -178,6 +195,26 @@ mod tests {
         let (base, parsed) = parse_ihex(&text).unwrap();
         assert_eq!(base, 0);
         assert_eq!(parsed, data);
+    }
+
+    #[test]
+    fn far_apart_records_are_too_large_not_a_huge_allocation() {
+        // One byte at 0, then one byte at 0xFFFF_FFF0: 56 bytes of text
+        // that used to allocate the 4 GiB between them.
+        let text = ":01000000AA55\n:02000004FFFFFC\n:01FFF000BB55\n:00000001FF\n";
+        assert_eq!(text.len(), 56);
+        assert_eq!(
+            parse_ihex(text),
+            Err(ParseError::TooLarge { span: 0xffff_fff1 })
+        );
+        // A full-size image still parses.
+        let data = vec![0x5a; MAX_SPAN as usize];
+        assert_eq!(parse_ihex(&write_ihex(&data, 0)).unwrap().1, data);
+        let over = vec![0x5a; MAX_SPAN as usize + 2];
+        assert!(matches!(
+            parse_ihex(&write_ihex(&over, 0)),
+            Err(ParseError::TooLarge { .. })
+        ));
     }
 
     #[test]

@@ -59,6 +59,11 @@ pub enum ParseError {
     },
     /// No type-01 EOF record at the end.
     MissingEof,
+    /// The data records span more bytes than any device's flash holds.
+    TooLarge {
+        /// Bytes from the lowest to the highest loaded address.
+        span: u64,
+    },
     /// A MAVR directive line was malformed.
     BadDirective {
         /// 1-based line number.
@@ -86,6 +91,11 @@ impl std::fmt::Display for ParseError {
                 write!(f, "line {line}: unknown record type {record_type:#04x}")
             }
             ParseError::MissingEof => write!(f, "missing EOF record"),
+            ParseError::TooLarge { span } => write!(
+                f,
+                "HEX body spans {span} bytes, more than the {} bytes of the largest flash",
+                intel::MAX_SPAN
+            ),
             ParseError::BadDirective { line, reason } => {
                 write!(f, "line {line}: bad MAVR directive: {reason}")
             }

@@ -1,10 +1,122 @@
 //! Property tests: Intel HEX and MAVR container round-trips, and parser
-//! robustness against arbitrary input.
+//! robustness against arbitrary and hostile input.
 
 use avr_core::device::ATMEGA2560;
 use avr_core::image::{FirmwareImage, Symbol, SymbolKind};
 use hexfile::{parse_ihex, write_ihex, MavrContainer};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// The tiny app's real container text — the seed every mutation starts
+/// from.
+fn tiny_container_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        use synth_firmware::{apps, build, BuildOptions};
+        let fw = build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr()).unwrap();
+        MavrContainer::new(fw.image).to_text()
+    })
+}
+
+/// Numbers an attacker would write into a directive field.
+const HOSTILE: [u32; 8] = [
+    0,
+    1,
+    0xffff,
+    0x1_0000,
+    0x3_ffff,
+    0x4_0000,
+    0xffff_fffe,
+    0xffff_ffff,
+];
+
+/// One checksum-valid Intel HEX record, so a mutation can reach the
+/// parser's address arithmetic rather than stop at the checksum.
+fn record(rtype: u8, addr: u16, payload: &[u8]) -> String {
+    let mut bytes = vec![payload.len() as u8, (addr >> 8) as u8, addr as u8, rtype];
+    bytes.extend_from_slice(payload);
+    let sum = bytes.iter().fold(0u8, |a, &b| a.wrapping_add(b));
+    let hex: String = bytes.iter().map(|b| format!("{b:02X}")).collect();
+    format!(":{hex}{:02X}", sum.wrapping_neg())
+}
+
+/// Index of the `k`-th (mod their count) line starting with `first`.
+fn nth_line_starting(lines: &[Vec<u8>], first: u8, k: usize) -> Option<usize> {
+    let hits: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].first() == Some(&first))
+        .collect();
+    (!hits.is_empty()).then(|| hits[k % hits.len()])
+}
+
+/// Apply one `(op, a, b)` mutation to container text.
+fn mutate(text: &mut Vec<u8>, (op, a, b): (u8, u32, u32)) {
+    let (a, b) = (a as usize, b as usize);
+    let mut lines: Vec<Vec<u8>> = text.split(|&c| c == b'\n').map(<[u8]>::to_vec).collect();
+    let n = lines.len();
+    match op % 6 {
+        // Flip one bit.
+        0 => {
+            if !text.is_empty() {
+                let at = a % text.len();
+                text[at] ^= 1 << (b % 8);
+            }
+            return;
+        }
+        // Delete a short run.
+        1 => {
+            let at = a % (text.len() + 1);
+            let end = (at + b % 64).min(text.len());
+            text.drain(at..end);
+            return;
+        }
+        // Insert a syntax character.
+        2 => {
+            let alphabet = b":;0123456789ABCDEFx \n-";
+            let at = a % (text.len() + 1);
+            text.insert(at, alphabet[b % alphabet.len()]);
+            return;
+        }
+        // Duplicate a line elsewhere.
+        3 => {
+            let line = lines[a % n].clone();
+            lines.insert(b % (n + 1), line);
+        }
+        // Replace every number in a directive line with a hostile one.
+        4 => {
+            let Some(at) = nth_line_starting(&lines, b';', a) else {
+                return;
+            };
+            let line = String::from_utf8_lossy(&lines[at]).into_owned();
+            let hostile = format!("{:#x}", HOSTILE[b % HOSTILE.len()]);
+            let fields: Vec<&str> = line
+                .split(' ')
+                .map(|f| {
+                    if f.starts_with("0x") {
+                        hostile.as_str()
+                    } else {
+                        f
+                    }
+                })
+                .collect();
+            lines[at] = fields.join(" ").into_bytes();
+        }
+        // Replace a record with a forged, checksum-valid one; an extended
+        // linear address moves every later record to a hostile base.
+        _ => {
+            let Some(at) = nth_line_starting(&lines, b':', a) else {
+                return;
+            };
+            let rtype = [0u8, 1, 4, 3, 5, 2][b % 6];
+            let payload = if rtype == 4 {
+                (HOSTILE[a % HOSTILE.len()] >> 16).to_be_bytes()[2..].to_vec()
+            } else {
+                vec![(b >> 24) as u8; (b >> 3) % 4]
+            };
+            lines[at] = record(rtype, (b >> 8) as u16, &payload).into_bytes();
+        }
+    }
+    *text = lines.join(&b'\n');
+}
 
 proptest! {
     #[test]
@@ -102,5 +214,26 @@ proptest! {
         let text = MavrContainer::new(img.clone()).to_text();
         let parsed = MavrContainer::parse(&text).unwrap();
         prop_assert_eq!(parsed.image, img);
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Hostile-input property for the external-flash container decoder:
+    /// whatever a mutation does to a real container, parsing returns a
+    /// typed error or a container whose text parses back to itself.
+    #[test]
+    fn mutated_real_container_is_an_error_or_round_trips(
+        ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..5),
+    ) {
+        let mut text = tiny_container_text().as_bytes().to_vec();
+        for &op in &ops {
+            mutate(&mut text, op);
+        }
+        let text = String::from_utf8_lossy(&text);
+        if let Ok(container) = MavrContainer::parse(&text) {
+            prop_assert_eq!(MavrContainer::parse(&container.to_text()), Ok(container));
+        }
     }
 }

@@ -25,14 +25,13 @@ use avr_sim::{
 };
 /// IEEE CRC-32, shared with the board crate's container footers.
 pub use mavr_board::ext_flash::crc32;
-use mavr_board::BoardState;
 
 /// Leading magic of every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
 
 /// Current format version. Bump on any payload layout change.
-/// v2: board payloads carry the fault plan's RNG state and the master's
-/// resilience counters.
+/// v2: board payloads (kind 3, since retired) carried the fault plan's
+/// RNG state and the master's resilience counters.
 /// v3: machine payloads carry the physical-world peripherals — ADC,
 /// PWM compare latches, and the PORTB output latch. v2 blobs still
 /// decode: the new fields default and the PORTB latch is backfilled
@@ -50,14 +49,9 @@ pub enum Kind {
     MachineFull,
     /// A dirty-page delta against a machine keyframe.
     MachineDelta,
-    /// A complete [`BoardState`].
-    Board,
-    /// A [`mavr_world::WorldState`]: the physical arena around a board.
-    World,
     /// One shard of a sharded fleet campaign: a contiguous job range and
     /// its completed outcomes (payload owned by the `fleet` crate). The
-    /// only campaign checkpoint kind: kind byte 4, the retired
-    /// whole-campaign checkpoint, now decodes as [`SnapshotError::BadKind`].
+    /// only campaign checkpoint kind.
     ShardCheckpoint,
 }
 
@@ -66,8 +60,6 @@ impl Kind {
         match self {
             Kind::MachineFull => 1,
             Kind::MachineDelta => 2,
-            Kind::Board => 3,
-            Kind::World => 5,
             Kind::ShardCheckpoint => 6,
         }
     }
@@ -76,8 +68,8 @@ impl Kind {
         match v {
             1 => Some(Kind::MachineFull),
             2 => Some(Kind::MachineDelta),
-            3 => Some(Kind::Board),
-            5 => Some(Kind::World),
+            // 3 (board), 4 (whole-campaign checkpoint) and 5 (world)
+            // are retired kinds: they decode as `BadKind`.
             6 => Some(Kind::ShardCheckpoint),
             _ => None,
         }
@@ -710,111 +702,6 @@ pub fn apply_machine_delta(
     Ok(s)
 }
 
-/// Encode a complete board state as one snapshot blob.
-pub fn encode_board(s: &BoardState) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_machine_state(&mut w, &s.app);
-    w.put_bool(s.app_locked);
-    for word in s.master_rng {
-        w.put_u64(word);
-    }
-    w.put_u32(s.boot_count);
-    w.put_u32(s.wear_cycles);
-    w.put_u64(s.watch_since);
-    w.put_u64(s.heartbeat_timeout);
-    for word in s.chaos.rng {
-        w.put_u64(word);
-    }
-    w.put_u64(s.chaos.injected);
-    w.put_u64(s.reflash_retries);
-    w.put_u64(s.degraded_boots);
-    w.finish(Kind::Board)
-}
-
-/// Decode a [`Kind::Board`] blob.
-pub fn decode_board(blob: &[u8]) -> Result<BoardState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::Board)?;
-    let app = get_machine_state(&mut r)?;
-    let app_locked = r.bool()?;
-    let mut master_rng = [0u64; 4];
-    for word in &mut master_rng {
-        *word = r.u64()?;
-    }
-    let boot_count = r.u32()?;
-    let wear_cycles = r.u32()?;
-    let watch_since = r.u64()?;
-    let heartbeat_timeout = r.u64()?;
-    let mut chaos_rng = [0u64; 4];
-    for word in &mut chaos_rng {
-        *word = r.u64()?;
-    }
-    let s = BoardState {
-        app,
-        app_locked,
-        master_rng,
-        boot_count,
-        wear_cycles,
-        watch_since,
-        heartbeat_timeout,
-        chaos: mavr_board::ChaosState {
-            rng: chaos_rng,
-            injected: r.u64()?,
-        },
-        reflash_retries: r.u64()?,
-        degraded_boots: r.u64()?,
-    };
-    r.done()?;
-    Ok(s)
-}
-
-/// Encode a physical-world state ([`mavr_world::WorldState`]) as one
-/// snapshot blob. Floats are stored as their exact IEEE-754 bit
-/// patterns, so a decoded world resumes bit-identically.
-pub fn encode_world(s: &mavr_world::WorldState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(s.scenario);
-    for v in s.pos.iter().chain(&s.vel).chain(&s.att).chain(&s.omega) {
-        w.put_u64(v.to_bits());
-    }
-    for word in s.rng {
-        w.put_u64(word);
-    }
-    w.put_u64(s.steps);
-    w.put_u64(s.peak_alt_err.to_bits());
-    w.put_u32(s.ground_impacts);
-    w.put_bool(s.grounded);
-    w.finish(Kind::World)
-}
-
-/// Decode a [`Kind::World`] blob.
-pub fn decode_world(blob: &[u8]) -> Result<mavr_world::WorldState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::World)?;
-    let scenario = r.u8()?;
-    let f = |r: &mut Reader| -> Result<f64, SnapshotError> { Ok(f64::from_bits(r.u64()?)) };
-    let pos = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let vel = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let att = [f(&mut r)?, f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let omega = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64()?;
-    }
-    let s = mavr_world::WorldState {
-        scenario,
-        pos,
-        vel,
-        att,
-        omega,
-        rng,
-        steps: r.u64()?,
-        peak_alt_err: f64::from_bits(r.u64()?),
-        ground_impacts: r.u32()?,
-        grounded: r.bool()?,
-    };
-    r.done()?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,19 +736,6 @@ mod tests {
         let state = m.capture_state();
         let blob = encode_machine(&state);
         assert_eq!(decode_machine(&blob).unwrap(), state);
-    }
-
-    #[test]
-    fn board_round_trip_is_exact() {
-        use mavr::policy::RandomizationPolicy;
-        use synth_firmware::{apps, build, BuildOptions};
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut board =
-            mavr_board::MavrBoard::provision(&fw.image, 7, RandomizationPolicy::default()).unwrap();
-        board.run(500_000).unwrap();
-        let state = board.capture_state();
-        let blob = encode_board(&state);
-        assert_eq!(decode_board(&blob).unwrap(), state);
     }
 
     #[test]
@@ -907,14 +781,17 @@ mod tests {
             decode_machine(&bad),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
-        // Unknown kind byte.
-        let mut bad = blob.clone();
-        bad[10] = 9;
-        assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(9)));
+        // Unknown kind bytes, including the retired board (3), campaign
+        // checkpoint (4) and world (5) kinds.
+        for kind in [3, 4, 5, 9] {
+            let mut bad = blob.clone();
+            bad[10] = kind;
+            assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(kind)));
+        }
         // Wrong (but valid) kind.
-        let board_kind = Writer::new().finish(Kind::Board);
+        let shard_kind = Writer::new().finish(Kind::ShardCheckpoint);
         assert!(matches!(
-            decode_machine(&board_kind),
+            decode_machine(&shard_kind),
             Err(SnapshotError::WrongKind { .. })
         ));
     }
@@ -1021,79 +898,5 @@ mod tests {
         let mut expect = state;
         expect.portb = 0xa5;
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn v2_board_blob_still_round_trips() {
-        use mavr::policy::RandomizationPolicy;
-        use synth_firmware::{apps, build, BuildOptions};
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut board =
-            mavr_board::MavrBoard::provision(&fw.image, 11, RandomizationPolicy::default())
-                .unwrap();
-        board.run(500_000).unwrap();
-        let state = board.capture_state();
-
-        let mut w = Writer::new();
-        put_machine_core_v2(&mut w, &state.app);
-        w.put_bytes(&state.app.flash);
-        w.put_bytes(&state.app.data);
-        put_eeprom(&mut w, &state.app.eeprom);
-        w.put_bool(state.app_locked);
-        for word in state.master_rng {
-            w.put_u64(word);
-        }
-        w.put_u32(state.boot_count);
-        w.put_u32(state.wear_cycles);
-        w.put_u64(state.watch_since);
-        w.put_u64(state.heartbeat_timeout);
-        for word in state.chaos.rng {
-            w.put_u64(word);
-        }
-        w.put_u64(state.chaos.injected);
-        w.put_u64(state.reflash_retries);
-        w.put_u64(state.degraded_boots);
-        let blob = stamp_version(w.finish(Kind::Board), 2);
-
-        let got = decode_board(&blob).unwrap();
-        // The heartbeat firmware drives PORTB, so the board's latch is
-        // live — the v2 data image must reproduce it exactly.
-        assert_eq!(got.app.portb, state.app.portb);
-        assert_eq!(
-            got.app.portb,
-            state.app.data[usize::from(PORTB_ADDR)],
-            "latch and data image agree"
-        );
-        assert_eq!(got, state);
-    }
-
-    #[test]
-    fn world_state_round_trips_and_resumes_bit_identically() {
-        use mavr_world::{Scenario, World};
-        let mut w = World::new(Scenario::Turbulent, 0x5eed);
-        for i in 0..300u32 {
-            let _ = w.sample();
-            w.step(0.55, if i % 5 == 0 { 0.02 } else { 0.0 });
-        }
-        let state = w.state();
-        let blob = encode_world(&state);
-        assert_eq!(decode_world(&blob).unwrap(), state);
-
-        // A world restored from the decoded blob continues exactly in
-        // step with one restored from the live state.
-        let mut a = World::restore(&state).unwrap();
-        let mut b = World::restore(&decode_world(&blob).unwrap()).unwrap();
-        for _ in 0..100 {
-            assert_eq!(a.sample(), b.sample());
-            a.step(0.5, 0.0);
-            b.step(0.5, 0.0);
-        }
-        assert_eq!(a.state(), b.state());
-
-        // Kind mismatches are rejected before any payload is read.
-        assert!(matches!(
-            decode_board(&blob),
-            Err(SnapshotError::WrongKind { .. })
-        ));
     }
 }

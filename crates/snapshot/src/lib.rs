@@ -8,8 +8,8 @@
 //! questions have exact answers; this crate makes them cheap:
 //!
 //! * [`format`] — a versioned, CRC-guarded binary format for full machine
-//!   state, dirty-page deltas against a keyframe, whole-board state, and
-//!   fleet campaign checkpoints. Corruption is detected before a broken
+//!   state, dirty-page deltas against a keyframe, and fleet campaign shard
+//!   checkpoints. Corruption is detected before a broken
 //!   state is ever loaded.
 //! * [`replay`] — [`Timeline`] keyframing over a run (`rewind_to` any
 //!   cycle), and [`bisect_divergence`]: given a stock and a
@@ -30,8 +30,7 @@ pub mod format;
 pub mod replay;
 
 pub use format::{
-    apply_machine_delta, crc32, decode_board, decode_machine, decode_world, encode_board,
-    encode_machine, encode_machine_delta, encode_world, Kind, Reader, SnapshotError, Writer, MAGIC,
-    VERSION,
+    apply_machine_delta, crc32, decode_machine, encode_machine, encode_machine_delta, Kind, Reader,
+    SnapshotError, Writer, MAGIC, VERSION,
 };
 pub use replay::{bisect_divergence, Divergence, Timeline};

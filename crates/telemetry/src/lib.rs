@@ -38,7 +38,7 @@ use std::time::Instant;
 /// (fleet resume, CLI, flight-recorder analysis) live in different crates,
 /// so its kinds are named here once and imported everywhere.
 pub mod kinds {
-    /// A machine or board snapshot was written.
+    /// A machine snapshot was written.
     pub const SNAPSHOT_SAVED: &str = "snapshot.saved";
     /// Execution state was replaced from a snapshot.
     pub const SNAPSHOT_RESTORED: &str = "snapshot.restored";

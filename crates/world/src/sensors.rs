@@ -74,7 +74,7 @@ mod tests {
         let mut b = StdRng::seed_from_u64(9);
         SensorRig { noise_counts: 0.0 }.sample(&body, &mut a);
         SensorRig { noise_counts: 8.0 }.sample(&body, &mut b);
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a, b);
     }
 
     #[test]

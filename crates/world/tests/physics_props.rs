@@ -10,43 +10,6 @@ use mavr_world::{FlightHarness, Scenario, World, TARGET_ALT_M};
 use proptest::prelude::*;
 use synth_firmware::{apps, build, BuildOptions};
 
-/// Drive a world open-loop from a PWM trace (one u16 per step: low byte
-/// thrust, high byte pitch), returning the final state.
-fn fly_open_loop(world: &mut World, trace: &[u16]) {
-    for &w in trace {
-        let _ = world.sample();
-        let [t, p] = w.to_le_bytes();
-        world.step(f64::from(t) / 255.0, (f64::from(p) - 128.0) / 128.0);
-    }
-}
-
-proptest! {
-    /// Checkpoint-anywhere: capturing and restoring a `WorldState` at any
-    /// cut point of any flight yields a bit-identical remainder — sensor
-    /// readings and trajectory both.
-    #[test]
-    fn world_checkpoint_cut_is_bit_identical(
-        seed in any::<u64>(),
-        trace in proptest::collection::vec(any::<u16>(), 2..160),
-        cut_frac in 0..100u8,
-    ) {
-        let scenario = Scenario::all()[(seed % 3) as usize];
-        let cut = trace.len() * usize::from(cut_frac) / 100;
-
-        // Straight-through flight.
-        let mut whole = World::new(scenario, seed);
-        fly_open_loop(&mut whole, &trace);
-
-        // Same flight, interrupted by a state round-trip at `cut`.
-        let mut first = World::new(scenario, seed);
-        fly_open_loop(&mut first, &trace[..cut]);
-        let mut resumed = World::restore(&first.state()).unwrap();
-        fly_open_loop(&mut resumed, &trace[cut..]);
-
-        prop_assert_eq!(whole.state(), resumed.state());
-    }
-}
-
 fn flight_board(seed: u64) -> MavrBoard {
     let fw = build(&apps::synth_quad_flight(), &BuildOptions::safe_mavr()).unwrap();
     MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default()).unwrap()
@@ -75,7 +38,7 @@ proptest! {
             split.run_steps(*b).unwrap();
         }
 
-        prop_assert_eq!(whole.world.state(), split.world.state());
+        prop_assert_eq!(&whole.world, &split.world);
         prop_assert_eq!(
             whole.board.app.machine.cycles(),
             split.board.app.machine.cycles()
@@ -96,7 +59,7 @@ fn fused_and_uncached_boards_fly_identical_trajectories() {
     for _ in 0..150 {
         fused.step_once().unwrap();
         uncached.step_once().unwrap();
-        assert_eq!(fused.world.state(), uncached.world.state());
+        assert_eq!(fused.world, uncached.world);
     }
     assert_eq!(
         fused.board.app.machine.cycles(),

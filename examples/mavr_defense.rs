@@ -9,7 +9,8 @@
 
 use mavr_repro::mavlink_lite::GroundStation;
 use mavr_repro::mavr::policy::RandomizationPolicy;
-use mavr_repro::mavr_board::MavrBoard;
+use mavr_repro::mavr_board::{FaultPlan, MavrBoard};
+use mavr_repro::mavr_fleet::{fly, FlightPlan, Flyer, Links};
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
 use mavr_repro::telemetry::{RingRecorder, Telemetry};
@@ -20,9 +21,15 @@ fn main() {
     // The attack is crafted against the unprotected binary, as in the
     // paper's threat model.
     let ctx = AttackContext::discover(&fw.image).unwrap();
-    let payload = ctx
+    let frames = [ctx
         .v2_payload(&[(layout::GYRO + 3, [0xde, 0xad, 0x42])])
-        .unwrap();
+        .unwrap()];
+    let plan = FlightPlan {
+        warmup: 300_000,
+        frames: &frames,
+        gap: 0,
+        attack: 6_000_000,
+    };
 
     // Provision the MAVR board: container uploaded to the external flash,
     // master randomizes and programs the application processor, lock fuse
@@ -36,11 +43,12 @@ fn main() {
         // Each board flies with a flight recorder attached; the ring keeps
         // the latest events so we can replay the first detected attack.
         let tele = Telemetry::new(RingRecorder::new(512));
-        let mut board = MavrBoard::provision_with(
+        let mut board = MavrBoard::provision_chaos(
             &fw.image,
             seed,
             RandomizationPolicy::default(),
             tele.clone(),
+            FaultPlan::none(),
         )
         .unwrap();
         board.forensic_annotations = ctx.annotations();
@@ -48,10 +56,10 @@ fn main() {
             board.attacker_flash_view().iter().all(|&b| b == 0xff),
             "readout protection hides the randomized binary"
         );
-        board.run(300_000).unwrap();
-        let mut gcs = GroundStation::new();
-        board.uplink(&gcs.exploit_packet(&payload).unwrap());
-        board.run(6_000_000).unwrap();
+        let mut flyer = Flyer::Plain(Box::new(board));
+        let flight = fly(&plan, &mut flyer, &mut Links::perfect(), |_| {});
+        assert_eq!(flight.bricked, None, "the master recovers every failure");
+        let board = flyer.board_mut();
 
         let hit = board.app.machine.peek_range(layout::GYRO + 3, 3) == vec![0xde, 0xad, 0x42];
         let recovered = board.recoveries() >= 1;

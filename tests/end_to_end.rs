@@ -5,9 +5,27 @@ use mavr_repro::avr_sim::Machine;
 use mavr_repro::mavlink_lite::GroundStation;
 use mavr_repro::mavr::policy::RandomizationPolicy;
 use mavr_repro::mavr_board::MavrBoard;
+use mavr_repro::mavr_fleet::{fly, FlightPlan, Flyer, Links};
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::rop::scanner;
 use mavr_repro::synth_firmware::{build, layout, AppSpec, BuildOptions};
+
+/// The paper's attack round against a MAVR board: warm up, send one
+/// exploit packet, fly the 6M-cycle attack window. Asserts the master kept
+/// the board alive and returns it.
+fn attack_round(board: MavrBoard, payload: &[u8]) -> Flyer {
+    let frames = [payload.to_vec()];
+    let plan = FlightPlan {
+        warmup: 300_000,
+        frames: &frames,
+        gap: 0,
+        attack: 6_000_000,
+    };
+    let mut flyer = Flyer::Plain(Box::new(board));
+    let flight = fly(&plan, &mut flyer, &mut Links::perfect(), |_| {});
+    assert_eq!(flight.bricked, None, "the master recovers every failure");
+    flyer
+}
 
 fn midsize_app() -> AppSpec {
     AppSpec {
@@ -53,12 +71,9 @@ fn full_attack_defense_lifecycle() {
     // unlikely).
     let mut detected = 0;
     for seed in 0..16u64 {
-        let mut board =
-            MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default()).unwrap();
-        board.run(300_000).unwrap();
-        let mut mal = GroundStation::new();
-        board.uplink(&mal.exploit_packet(&payload).unwrap());
-        board.run(6_000_000).unwrap();
+        let board = MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default()).unwrap();
+        let flyer = attack_round(board, &payload);
+        let board = flyer.board();
         assert_ne!(
             board.app.machine.peek_range(layout::GYRO + 3, 3),
             vec![0xca, 0xfe, 0x99],
@@ -192,13 +207,10 @@ fn sensor_node_profile_gets_the_same_protection() {
     assert_eq!(node.peek_range(layout::GYRO + 3, 3), vec![0x66, 0x77, 0x88]);
 
     // …and fails against the MAVR board.
-    let mut board = MavrBoard::provision(&fw.image, 3, RandomizationPolicy::default()).unwrap();
-    board.run(300_000).unwrap();
-    let mut mal = GroundStation::new();
-    board.uplink(&mal.exploit_packet(&payload).unwrap());
-    board.run(6_000_000).unwrap();
+    let board = MavrBoard::provision(&fw.image, 3, RandomizationPolicy::default()).unwrap();
+    let flyer = attack_round(board, &payload);
     assert_ne!(
-        board.app.machine.peek_range(layout::GYRO + 3, 3),
+        flyer.board().app.machine.peek_range(layout::GYRO + 3, 3),
         vec![0x66, 0x77, 0x88]
     );
 }

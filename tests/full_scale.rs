@@ -8,6 +8,7 @@ use mavr_repro::avr_sim::Machine;
 use mavr_repro::mavlink_lite::GroundStation;
 use mavr_repro::mavr::policy::RandomizationPolicy;
 use mavr_repro::mavr_board::MavrBoard;
+use mavr_repro::mavr_fleet::{fly, FlightPlan, Flyer, Links};
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::rop::scanner::{classify, scan, ScanOptions};
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
@@ -58,13 +59,19 @@ fn synth_plane_stealthy_attack_and_defense() {
     assert!(gcs.link_alive(20, 3));
 
     // Against the randomized board: defeated.
-    let mut board = MavrBoard::provision(&fw.image, 0x917, RandomizationPolicy::default()).unwrap();
-    board.run(400_000).unwrap();
-    let mut mal = GroundStation::new();
-    board.uplink(&mal.exploit_packet(&payload).unwrap());
-    board.run(4_000_000).unwrap();
+    let board = MavrBoard::provision(&fw.image, 0x917, RandomizationPolicy::default()).unwrap();
+    let frames = [payload];
+    let plan = FlightPlan {
+        warmup: 400_000,
+        frames: &frames,
+        gap: 0,
+        attack: 4_000_000,
+    };
+    let mut flyer = Flyer::Plain(Box::new(board));
+    let flight = fly(&plan, &mut flyer, &mut Links::perfect(), |_| {});
+    assert_eq!(flight.bricked, None, "the master recovers every failure");
     assert_ne!(
-        board.app.machine.peek_range(layout::GYRO + 3, 3),
+        flyer.board().app.machine.peek_range(layout::GYRO + 3, 3),
         vec![0xde, 0xad, 0x42]
     );
 }

@@ -3,9 +3,9 @@
 //! §IX) depends on detection latency being a small multiple of the
 //! heartbeat period.
 
-use mavr_repro::mavlink_lite::GroundStation;
 use mavr_repro::mavr::policy::RandomizationPolicy;
 use mavr_repro::mavr_board::{BoardEvent, MavrBoard};
+use mavr_repro::mavr_fleet::{fly, FlightPlan, Flyer, Links};
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
 
@@ -13,21 +13,26 @@ use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
 fn detection_latency_is_bounded_by_the_watchdog_window() {
     let fw = build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr()).unwrap();
     let ctx = AttackContext::discover(&fw.image).unwrap();
-    let payload = ctx
+    let frames = [ctx
         .v2_payload(&[(layout::GYRO + 3, [0xde, 0xad, 0x42])])
-        .unwrap();
+        .unwrap()];
+    let plan = FlightPlan {
+        warmup: 300_000,
+        frames: &frames,
+        gap: 0,
+        attack: 6_000_000,
+    };
 
     // Find layouts where the failed attack crashes, and measure how long
     // the app was down before the master reflashed it.
     let mut measured = 0;
     for seed in 0..12u64 {
-        let mut board =
-            MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default()).unwrap();
-        board.run(300_000).unwrap();
-        let healthy_until = board.app.machine.cycles();
-        let mut gcs = GroundStation::new();
-        board.uplink(&gcs.exploit_packet(&payload).unwrap());
-        board.run(6_000_000).unwrap();
+        let board = MavrBoard::provision(&fw.image, seed, RandomizationPolicy::default()).unwrap();
+        let mut flyer = Flyer::Plain(Box::new(board));
+        let flight = fly(&plan, &mut flyer, &mut Links::perfect(), |_| {});
+        assert_eq!(flight.bricked, None, "the master recovers every failure");
+        let injected_at = flight.injected_at.expect("warmup never bricks");
+        let board = flyer.board();
         if board.recoveries() == 0 {
             continue; // soft landing; nothing to time
         }
@@ -42,7 +47,7 @@ fn detection_latency_is_bounded_by_the_watchdog_window() {
             .first()
             .copied()
             .unwrap_or(board.app.machine.cycles());
-        let outage = outage_end - healthy_until;
+        let outage = outage_end - injected_at;
         // Detection happens within the watchdog window plus one polling
         // chunk; add loop slack for the cycles spent flying before the
         // payload hit.
