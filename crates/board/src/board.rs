@@ -88,11 +88,9 @@ impl MavrBoard {
     }
 
     /// Like [`MavrBoard::provision`], wiring `telemetry` through the master
-    /// and the application machine so the whole boot lifecycle — container
-    /// read, randomize, program, watchdog arm — lands on one stream, and
-    /// installing `chaos` on the master *before* the first boot — so chaos
-    /// campaigns stress the provisioning reflash too, not just recoveries.
-    /// [`FaultPlan::none`](crate::chaos::FaultPlan::none) injects nothing.
+    /// and the application machine, and installing `chaos` on the master
+    /// before the first boot: [`MavrBoard::chip_for`], then
+    /// [`MavrBoard::provision_on`].
     pub fn provision_chaos(
         image: &FirmwareImage,
         seed: u64,
@@ -100,11 +98,36 @@ impl MavrBoard {
         telemetry: Telemetry,
         chaos: crate::chaos::FaultPlan,
     ) -> Result<Self, MasterError> {
+        Self::provision_on(Self::chip_for(image)?, seed, policy, telemetry, chaos)
+    }
+
+    /// Preprocess `image` and upload it to a fresh external flash chip,
+    /// decoded and patch-planned up front. Clones of the chip share all of
+    /// it, so a fleet flying one image uploads it once.
+    pub fn chip_for(image: &FirmwareImage) -> Result<ExternalFlash, MasterError> {
         let container = mavr::preprocess(image).map_err(|e| {
             MasterError::Flash(crate::ext_flash::FlashError::Corrupt(e.to_string()))
         })?;
-        let mut ext_flash = ExternalFlash::new();
-        ext_flash.upload(&container)?;
+        let mut chip = ExternalFlash::new();
+        chip.upload(&container)?;
+        chip.warm();
+        Ok(chip)
+    }
+
+    /// Provision a board around an uploaded chip: the only provisioning
+    /// entry. Wires `telemetry` through the master and the application
+    /// machine so the whole boot lifecycle — container read, randomize,
+    /// program, watchdog arm — lands on one stream, and installs `chaos` on
+    /// the master *before* the first boot, so chaos campaigns stress the
+    /// provisioning reflash too, not just recoveries.
+    /// [`FaultPlan::none`](crate::chaos::FaultPlan::none) injects nothing.
+    pub fn provision_on(
+        ext_flash: ExternalFlash,
+        seed: u64,
+        policy: RandomizationPolicy,
+        telemetry: Telemetry,
+        chaos: crate::chaos::FaultPlan,
+    ) -> Result<Self, MasterError> {
         let mut master = MasterProcessor::new(seed, policy);
         master.telemetry = telemetry.clone();
         master.chaos = chaos;

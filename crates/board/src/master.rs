@@ -4,7 +4,7 @@
 
 use avr_core::image::FirmwareImage;
 use mavr::policy::{FlashWear, RandomizationPolicy};
-use mavr::{randomize, RandomizeError, RandomizeOptions};
+use mavr::{RandomizeError, RandomizeOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use telemetry::{kinds, Telemetry, Value};
@@ -12,7 +12,7 @@ use telemetry::{kinds, Telemetry, Value};
 use crate::app::AppProcessor;
 use crate::bootloader::ProtocolError;
 use crate::chaos::{FaultPlan, ResilienceStats};
-use crate::ext_flash::{ExternalFlash, FlashError};
+use crate::ext_flash::{ExternalFlash, FlashError, Readback};
 use crate::link::SerialLink;
 
 /// Bounded retries for the container read from external flash.
@@ -209,8 +209,8 @@ impl MasterProcessor {
         // Stage 1: read + integrity-check the container. Bit rot is
         // transient per read, so bounded re-reads can clear it.
         let fresh = match self.read_container(ext_flash, boot_count, &mut retries, &mut extra_ms) {
-            Ok(container) => {
-                let randomized = randomize(&container.image, &mut self.rng, &self.options)?;
+            Ok(readback) => {
+                let randomized = readback.randomize(&mut self.rng, &self.options)?;
                 self.telemetry.emit("master.randomize", None, || {
                     vec![(
                         "functions_permuted",
@@ -289,25 +289,23 @@ impl MasterProcessor {
 
     /// Read the container from external flash with bounded retries; each
     /// retry charges exponential backoff and re-rolls any transient rot.
-    fn read_container(
+    fn read_container<'f>(
         &mut self,
-        ext_flash: &ExternalFlash,
+        ext_flash: &'f ExternalFlash,
         boot: u32,
         retries: &mut u32,
         extra_ms: &mut f64,
-    ) -> Result<hexfile::MavrContainer, FlashError> {
+    ) -> Result<Readback<'f>, FlashError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match ext_flash.read_chaos(&mut self.chaos) {
-                Ok(container) => {
+            match ext_flash.readback(&mut self.chaos) {
+                Ok(readback) => {
+                    let image_bytes = readback.container().image.code_size();
                     self.telemetry.emit("master.container_read", None, || {
-                        vec![(
-                            "image_bytes",
-                            Value::U64(u64::from(container.image.code_size())),
-                        )]
+                        vec![("image_bytes", Value::U64(u64::from(image_bytes)))]
                     });
-                    return Ok(container);
+                    return Ok(readback);
                 }
                 Err(e) if attempt < MAX_CONTAINER_READS => {
                     *retries += 1;

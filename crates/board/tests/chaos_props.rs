@@ -129,3 +129,86 @@ proptest! {
         }
     }
 }
+
+/// What one board's flight leaves behind, for comparing two boards.
+type FlightRecord = (
+    Vec<Result<(), MasterError>>,
+    Vec<u8>,
+    Vec<mavr_board::BoardEvent>,
+    mavr_board::ResilienceStats,
+    Option<Vec<usize>>,
+);
+
+/// Fly a provisioned board through two forced recoveries, under `chaos`
+/// from take-off when given.
+fn fly(
+    board: Result<MavrBoard, MasterError>,
+    chaos: Option<FaultPlan>,
+) -> Result<FlightRecord, MasterError> {
+    let mut board = board?;
+    if let Some(chaos) = chaos {
+        board.master.chaos = chaos;
+    }
+    let steps = vec![
+        board.run(200_000),
+        board.recover(RecoveryCause::HeartbeatLost).map(drop),
+        board.run(100_000),
+        board.recover(RecoveryCause::HeartbeatLost).map(drop),
+        board.run(200_000),
+    ];
+    Ok((
+        steps,
+        board.app.machine.flash().to_vec(),
+        board.events,
+        board.master.resilience,
+        board.master.last_permutation,
+    ))
+}
+
+/// A board provisioned on a clone of one shared, warm chip is the board
+/// `provision_chaos` builds from the image, fault plan for fault plan —
+/// whether the plan rots the provisioning read or only the recoveries'.
+/// The shared chip's memo never stands in for a read the plan corrupts.
+#[test]
+fn shared_chip_boards_equal_fresh_boards_under_chaos() {
+    let fw = firmware();
+    let shared = MavrBoard::chip_for(&fw.image).unwrap();
+    let policy = RandomizationPolicy::default();
+    for rate in [0.0, 0.0001, 0.001, 0.01, 0.05] {
+        for seed in 0..4u64 {
+            let board_seed = seed ^ 0x5eed;
+            let plan = || FaultPlan::new(seed, ChaosConfig::uniform(rate));
+            for chaos_at_boot in [true, false] {
+                let (boot_plan, flight_plan) = if chaos_at_boot {
+                    (plan(), None)
+                } else {
+                    (FaultPlan::none(), Some(plan()))
+                };
+                let on_shared = fly(
+                    MavrBoard::provision_on(
+                        shared.clone(),
+                        board_seed,
+                        policy,
+                        Telemetry::off(),
+                        boot_plan.clone(),
+                    ),
+                    flight_plan.clone(),
+                );
+                let fresh = fly(
+                    MavrBoard::provision_chaos(
+                        &fw.image,
+                        board_seed,
+                        policy,
+                        Telemetry::off(),
+                        boot_plan,
+                    ),
+                    flight_plan,
+                );
+                assert_eq!(
+                    on_shared, fresh,
+                    "rate {rate}, seed {seed}, chaos at boot {chaos_at_boot}"
+                );
+            }
+        }
+    }
+}

@@ -18,7 +18,7 @@ use mavr_fleet::{
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use telemetry::metrics::MetricsRegistry;
 use telemetry::{kinds, Telemetry, Value};
 
@@ -31,7 +31,10 @@ pub struct CampaignSession {
     pub store: CampaignStore,
     /// Engine config derived from the spec.
     pub cfg: CampaignConfig,
-    prepared: PreparedCampaign,
+    /// The prepared firmware while jobs remain. A slice that completes the
+    /// campaign drops it: a cached session of a finished campaign holds no
+    /// firmware, and is re-prepared only if its store ever needs work again.
+    prepared: Mutex<Option<PreparedCampaign>>,
     /// Checkpoint flushes abandoned after the store's bounded retries —
     /// the `campaignd_checkpoint_skipped` metric, cumulative per session.
     checkpoints_skipped: AtomicU64,
@@ -71,7 +74,7 @@ impl CampaignSession {
         Ok(CampaignSession {
             store,
             cfg,
-            prepared,
+            prepared: Mutex::new(Some(prepared)),
             checkpoints_skipped: AtomicU64::new(0),
         })
     }
@@ -95,6 +98,10 @@ impl CampaignSession {
         max_shards: Option<usize>,
     ) -> Result<RunOutcome, String> {
         let plan = self.store.plan();
+        let mut prepared = self
+            .prepared
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut budget = budget_jobs;
         let mut jobs_run = 0usize;
         let mut done_jobs = 0u64;
@@ -144,7 +151,7 @@ impl CampaignSession {
 
             let status = run_shard_resume(
                 &self.cfg,
-                &self.prepared,
+                prepared.get_or_insert_with(|| PreparedCampaign::new(&self.cfg)),
                 &mut shard,
                 budget,
                 done_jobs as usize + done_before as usize,
@@ -207,6 +214,9 @@ impl CampaignSession {
         // detected — mid-shard (run_shard_resume reports it) or between
         // shards (only the loop guard saw it).
         let complete = done_jobs == plan.total_jobs;
+        if complete {
+            *prepared = None;
+        }
         let interrupted = !complete && (interrupted || self.cfg.interrupted());
         if interrupted {
             self.cfg

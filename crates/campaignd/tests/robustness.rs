@@ -173,3 +173,29 @@ fn torn_part_tail_is_repaired_on_resume_not_parsed() {
         expected.to_json()
     );
 }
+
+/// A slice that completes a campaign drops the session's prepared
+/// firmware. If the store later needs work again (here, a lost shard),
+/// the same session prepares it again and re-runs to the same bytes.
+#[test]
+fn a_finished_session_prepares_again_when_its_store_needs_work() {
+    let root = tmp_root("reprepare");
+    let spec = CampaignSpec::from_json(
+        r#"{"name": "reprepare", "boards": 2, "scenarios": ["benign"],
+            "attack_cycles": 100000, "shard_jobs": 1}"#,
+    )
+    .unwrap();
+    let store = CampaignStore::create(&root, spec).unwrap();
+    let session = session(store.clone());
+    assert!(session.run(None, None).unwrap().complete);
+    let (report_path, _) = merge_store(&store).unwrap();
+    let report = std::fs::read(&report_path).unwrap();
+
+    std::fs::remove_file(store.shard_path(0)).unwrap();
+    std::fs::remove_file(store.outcomes_path(0)).unwrap();
+    let again = session.run(None, None).unwrap();
+    assert!(again.complete);
+    assert_eq!(again.jobs_run, 1);
+    merge_store(&store).unwrap();
+    assert_eq!(std::fs::read(&report_path).unwrap(), report);
+}

@@ -64,7 +64,7 @@ pub use shard::{
 use mavlink_lite::channel::{LossConfig, LossyChannel};
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
-use mavr_board::{ChaosConfig, FaultPlan, MavrBoard};
+use mavr_board::{ChaosConfig, ExternalFlash, FaultPlan, MasterError, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
 use rand::mix64;
 use rop::attack::AttackContext;
@@ -342,13 +342,16 @@ fn fly_board(
         FaultPlan::none()
     };
 
-    let Ok(mut board) = MavrBoard::provision_chaos(
-        &prepared.image,
-        base.board_seed,
-        RandomizationPolicy::default(),
-        Telemetry::off(),
-        faults,
-    ) else {
+    let provisioned = prepared.chip.clone().and_then(|chip| {
+        MavrBoard::provision_on(
+            chip,
+            base.board_seed,
+            RandomizationPolicy::default(),
+            Telemetry::off(),
+            faults,
+        )
+    });
+    let Ok(mut board) = provisioned else {
         // The very first boot exhausted its retries (there is no
         // last-known-good image yet): dead on the bench.
         return (
@@ -567,17 +570,21 @@ fn run_job(cfg: &CampaignConfig, prepared: &PreparedCampaign, job: Job) -> Board
     }
 }
 
-/// The per-campaign artifacts every job shares — the (unprotected)
-/// firmware image and one canned payload set per scenario — prepared once
-/// and shared across shard runs, so a service running thousands of shards
-/// doesn't rebuild the firmware and re-craft the payload set per shard.
+/// The per-campaign artifacts every job shares — the external flash chip
+/// holding the (unprotected) firmware, already decoded and patch-planned,
+/// and one canned payload set per scenario — prepared once and shared
+/// across shard runs, so a service running thousands of shards doesn't
+/// rebuild the firmware, re-upload it, or re-craft the payload set per
+/// shard. Each job boots from a clone of the one chip.
 pub struct PreparedCampaign {
-    image: avr_core::image::FirmwareImage,
+    /// The uploaded chip, or the upload's error, which bricks every job.
+    chip: Result<ExternalFlash, MasterError>,
     payloads: Vec<Option<Vec<Vec<u8>>>>,
 }
 
 impl PreparedCampaign {
-    /// Build the campaign's firmware image and per-scenario payload set.
+    /// Build the campaign's firmware image, upload it, and craft the
+    /// per-scenario payload set.
     pub fn new(cfg: &CampaignConfig) -> Self {
         let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
         let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
@@ -593,7 +600,7 @@ impl PreparedCampaign {
             })
             .collect();
         PreparedCampaign {
-            image: fw.image,
+            chip: MavrBoard::chip_for(&fw.image),
             payloads,
         }
     }

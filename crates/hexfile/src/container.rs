@@ -23,7 +23,7 @@
 use avr_core::device::{Device, ATMEGA1284P, ATMEGA2560};
 use avr_core::image::{FirmwareImage, Symbol, SymbolKind};
 
-use crate::intel::{parse_ihex, write_ihex};
+use crate::intel::{ihex_len_bound, scan, write_ihex_into};
 use crate::ParseError;
 
 /// Format version emitted by this implementation.
@@ -42,11 +42,15 @@ impl MavrContainer {
         MavrContainer { image }
     }
 
-    /// Serialize: symbol directives first, then the Intel HEX body.
+    /// Serialize: symbol directives first, then the Intel HEX body, all
+    /// written into one buffer sized for the whole text up front.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
+        use std::io::Write;
         let img = &self.image;
-        let mut out = String::new();
+        let directives: usize = img.symbols.iter().map(|s| s.name.len() + 32).sum::<usize>()
+            + img.fn_ptr_locs.len() * 16
+            + 64;
+        let mut out = Vec::with_capacity(directives + ihex_len_bound(img.bytes.len()));
         writeln!(out, ";MAVR {} {}", FORMAT_VERSION, img.device.name).unwrap();
         writeln!(out, ";TEXTEND {:#010x}", img.text_end).unwrap();
         for s in &img.symbols {
@@ -60,8 +64,8 @@ impl MavrContainer {
         for &p in &img.fn_ptr_locs {
             writeln!(out, ";PTR {p:#x}").unwrap();
         }
-        out.push_str(&write_ihex(&img.bytes, 0));
-        out
+        write_ihex_into(&mut out, &img.bytes, 0);
+        String::from_utf8(out).expect("directives and Intel HEX are UTF-8")
     }
 
     /// Parse a container produced by [`MavrContainer::to_text`].
@@ -70,12 +74,8 @@ impl MavrContainer {
         let mut text_end = 0u32;
         let mut symbols = Vec::new();
         let mut fn_ptr_locs = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            let t = raw.trim();
-            let Some(directive) = t.strip_prefix(';') else {
-                continue;
-            };
+        // The directives are read in the HEX parser's first pass.
+        let scanned = scan(text, |line, directive| {
             let mut parts = directive.split_whitespace();
             match parts.next() {
                 Some("MAVR") => {
@@ -115,9 +115,10 @@ impl MavrContainer {
                 }
                 _ => {} // unknown comment — ignore, like any HEX loader
             }
-        }
+            Ok(())
+        })?;
         let device = device.ok_or_else(|| bad(0, "missing ;MAVR header"))?;
-        let (base, bytes) = parse_ihex(text)?;
+        let (base, bytes) = scanned.load(text)?;
         if base != 0 {
             return Err(bad(0, &format!("HEX body must load at 0, got {base:#x}")));
         }
@@ -202,14 +203,14 @@ mod tests {
     fn container_is_valid_plain_hex() {
         let img = sample_image();
         let text = MavrContainer::new(img.clone()).to_text();
-        let (base, bytes) = parse_ihex(&text).unwrap();
+        let (base, bytes) = crate::parse_ihex(&text).unwrap();
         assert_eq!(base, 0);
         assert_eq!(bytes, img.bytes);
     }
 
     #[test]
     fn missing_header_rejected() {
-        let text = write_ihex(&[1, 2], 0);
+        let text = crate::write_ihex(&[1, 2], 0);
         let err = MavrContainer::parse(&text).unwrap_err();
         assert!(matches!(err, ParseError::BadDirective { .. }));
     }

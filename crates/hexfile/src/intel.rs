@@ -19,17 +19,64 @@ const RECORD_DATA: u8 = 0x00;
 const RECORD_EOF: u8 = 0x01;
 const RECORD_EXT_LINEAR: u8 = 0x04;
 
+/// Uppercase hex digit of each nibble value.
+const NIBBLE: &[u8; 16] = b"0123456789ABCDEF";
+
+/// The two uppercase hex digits of each byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [NIBBLE[b >> 4], NIBBLE[b & 0xf]];
+        b += 1;
+    }
+    table
+};
+
+/// Value of each ASCII hex digit (either case); `INVALID` elsewhere.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[NIBBLE[i] as usize] = i as u8;
+        table[NIBBLE[i].to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+/// Has bits outside the low nibble, so an OR over decoded digits shows
+/// whether any was invalid.
+const INVALID: u8 = 0xff;
+
+/// Payload bytes per data record [`write_ihex`] emits.
+const RECORD_BYTES: usize = 16;
+
 /// Serialize `bytes` (loaded at byte address `base`) as Intel HEX text with
 /// 16-byte data records and type-04 extended linear address records at every
 /// 64 KiB boundary crossing.
 pub fn write_ihex(bytes: &[u8], base: u32) -> String {
-    let mut out = String::new();
+    let mut out = Vec::with_capacity(ihex_len_bound(bytes.len()));
+    write_ihex_into(&mut out, bytes, base);
+    String::from_utf8(out).expect("Intel HEX is ASCII")
+}
+
+/// An upper bound on [`write_ihex`]'s output length for `len` data bytes:
+/// one record per 16-byte chunk, plus at each 64 KiB boundary a split
+/// chunk's second record and an extended-address record, plus EOF.
+pub(crate) fn ihex_len_bound(len: usize) -> usize {
+    const RECORD_OVERHEAD: usize = 12; // ':', count, address, type, checksum, '\n'
+    let records = len.div_ceil(RECORD_BYTES) + 2 * (len / 0x1_0000 + 1) + 2;
+    records * RECORD_OVERHEAD + 2 * len
+}
+
+/// [`write_ihex`] appending to `out`.
+pub(crate) fn write_ihex_into(out: &mut Vec<u8>, bytes: &[u8], base: u32) {
     let mut upper = u32::MAX; // force an initial ELA record if base > 0xffff
     if base <= 0xffff && (base as usize + bytes.len()) <= 0x1_0000 {
         upper = 0; // small images skip the ELA record, like avr-objcopy
     }
     let mut addr = base;
-    for chunk in bytes.chunks(16) {
+    for chunk in bytes.chunks(RECORD_BYTES) {
         // A record must not cross a 64 KiB boundary.
         let mut off = 0usize;
         while off < chunk.len() {
@@ -37,12 +84,12 @@ pub fn write_ihex(bytes: &[u8], base: u32) -> String {
             if hi != upper {
                 upper = hi;
                 let payload = [(hi >> 8) as u8, hi as u8];
-                push_record(&mut out, 0, RECORD_EXT_LINEAR, &payload);
+                push_record(out, 0, RECORD_EXT_LINEAR, &payload);
             }
             let room = (0x1_0000 - (addr & 0xffff)) as usize;
             let take = room.min(chunk.len() - off);
             push_record(
-                &mut out,
+                out,
                 (addr & 0xffff) as u16,
                 RECORD_DATA,
                 &chunk[off..off + take],
@@ -51,23 +98,58 @@ pub fn write_ihex(bytes: &[u8], base: u32) -> String {
             off += take;
         }
     }
-    push_record(&mut out, 0, RECORD_EOF, &[]);
-    out
+    push_record(out, 0, RECORD_EOF, &[]);
 }
 
-fn push_record(out: &mut String, addr: u16, rtype: u8, payload: &[u8]) {
-    use std::fmt::Write;
-    let mut sum = payload.len() as u8;
-    sum = sum
-        .wrapping_add((addr >> 8) as u8)
-        .wrapping_add(addr as u8)
-        .wrapping_add(rtype);
-    write!(out, ":{:02X}{:04X}{:02X}", payload.len(), addr, rtype).unwrap();
-    for &b in payload {
-        write!(out, "{b:02X}").unwrap();
+/// Append one record (payload of at most [`RECORD_BYTES`]), formatted in
+/// a stack buffer and copied out whole.
+fn push_record(out: &mut Vec<u8>, addr: u16, rtype: u8, payload: &[u8]) {
+    let mut record = [0u8; 1 + 2 * (4 + RECORD_BYTES + 1) + 1];
+    let header = [payload.len() as u8, (addr >> 8) as u8, addr as u8, rtype];
+    record[0] = b':';
+    let mut n = 1;
+    let mut sum = 0u8;
+    for &b in header.iter().chain(payload) {
+        record[n..n + 2].copy_from_slice(&HEX_PAIRS[usize::from(b)]);
+        n += 2;
         sum = sum.wrapping_add(b);
     }
-    writeln!(out, "{:02X}", sum.wrapping_neg()).unwrap();
+    record[n..n + 2].copy_from_slice(&HEX_PAIRS[usize::from(sum.wrapping_neg())]);
+    record[n + 2] = b'\n';
+    out.extend_from_slice(&record[..n + 3]);
+}
+
+/// The lines of `text`, trimmed, with their 1-based line numbers.
+fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().map(|(i, raw)| (i + 1, raw.trim()))
+}
+
+/// A record line's count, address and type, read from its first eight
+/// digits, when its length matches its count. `None` means the full
+/// decode rejects the line.
+fn record_header(t: &str) -> Option<(usize, u32, u8)> {
+    let hex = t.strip_prefix(':')?.as_bytes();
+    let mut header = [0u8; 4];
+    decode_hex(hex.get(..8)?, &mut header).then_some(())?;
+    let count = usize::from(header[0]);
+    (hex.len() == 2 * (count + 5)).then_some(())?;
+    let addr = (u32::from(header[1]) << 8) | u32::from(header[2]);
+    Some((count, addr, header[3]))
+}
+
+/// Decode hex digit pairs into `out` (`hex.len() == 2 * out.len()`);
+/// false if any digit is not hex.
+fn decode_hex(hex: &[u8], out: &mut [u8]) -> bool {
+    let mut bad = 0u8;
+    for (o, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        let (hi, lo) = (
+            HEX_VALUE[usize::from(pair[0])],
+            HEX_VALUE[usize::from(pair[1])],
+        );
+        bad |= hi | lo;
+        *o = (hi << 4) | lo;
+    }
+    bad & 0xf0 == 0
 }
 
 /// Parse Intel HEX text into `(base_address, bytes)`.
@@ -76,13 +158,102 @@ fn push_record(out: &mut String, addr: u16, rtype: u8, payload: &[u8]) {
 /// gaps are filled with `0xff` (erased flash). Lines starting with `;` are
 /// skipped, which is how the MAVR container directives stay compatible with
 /// standard loaders.
+///
+/// A first pass ([`scan`]) reads only the record headers, to bound the
+/// loaded span before anything is allocated; the second ([`Scanned::load`])
+/// validates every record and decodes each data record straight into the
+/// image. Errors come in line order, then a missing EOF, then a span too
+/// large for any flash.
 pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
-    let mut chunks: Vec<(u32, Vec<u8>)> = Vec::new();
+    scan(text, |_, _| Ok(()))?.load(text)
+}
+
+/// The first pass of [`parse_ihex`] over a text: the span its data records
+/// cover, as their headers say.
+pub(crate) struct Scanned {
+    /// `(lowest address, end)`, or `None` with no data records.
+    span: Option<(u32, u64)>,
+}
+
+/// Read the data records' span from their headers alone, up to the EOF
+/// record, and hand every `;` line (without the `;`) to `comment` on the
+/// way, so the MAVR container reads its directives in the same pass. The
+/// span stops growing at the first record line with a malformed header:
+/// the full decode rejects that line, so nothing after it loads.
+pub(crate) fn scan(
+    text: &str,
+    mut comment: impl FnMut(usize, &str) -> Result<(), ParseError>,
+) -> Result<Scanned, ParseError> {
+    let mut span: Option<(u32, u64)> = None;
+    let mut upper = 0u32;
+    let mut loading = true;
+    for (line, t) in lines(text) {
+        if let Some(c) = t.strip_prefix(';') {
+            comment(line, c)?;
+            continue;
+        }
+        if t.is_empty() || !loading {
+            continue;
+        }
+        let Some((count, addr, rtype)) = record_header(t) else {
+            loading = false;
+            continue;
+        };
+        match rtype {
+            RECORD_DATA => {
+                let addr = (upper << 16) | addr;
+                let end = u64::from(addr) + count as u64;
+                span = Some(span.map_or((addr, end), |(lo, hi)| (lo.min(addr), hi.max(end))));
+            }
+            RECORD_EOF => loading = false,
+            RECORD_EXT_LINEAR => {
+                let mut payload = [0u8; 2];
+                if count == 2 && decode_hex(&t.as_bytes()[9..13], &mut payload) {
+                    upper = u32::from(u16::from_be_bytes(payload));
+                } else {
+                    loading = false;
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(Scanned { span })
+}
+
+impl Scanned {
+    /// The second pass of [`parse_ihex`] over the same text.
+    pub(crate) fn load(self, text: &str) -> Result<(u32, Vec<u8>), ParseError> {
+        let Some((base, end)) = self
+            .span
+            .filter(|&(base, end)| end - u64::from(base) <= u64::from(MAX_SPAN))
+        else {
+            // Nothing to load, or too much: validate before saying which.
+            for_each_data_record(text, |_, _| {})?;
+            return match self.span {
+                None => Ok((0, Vec::new())),
+                Some((base, end)) => Err(ParseError::TooLarge {
+                    span: end - u64::from(base),
+                }),
+            };
+        };
+        let mut image = vec![0xff; (end - u64::from(base)) as usize];
+        for_each_data_record(text, |addr, payload| {
+            let off = (addr - base) as usize;
+            image[off..off + payload.len()].copy_from_slice(payload);
+        })?;
+        Ok((base, image))
+    }
+}
+
+/// Validate every record of `text` up to its EOF record, calling `data`
+/// with the absolute load address and payload of each data record. The
+/// payload is decoded into one stack buffer, reused for every line.
+fn for_each_data_record(text: &str, mut data: impl FnMut(u32, &[u8])) -> Result<(), ParseError> {
+    // count + address + type + 255 payload bytes + checksum.
+    let mut record = [0u8; 260];
     let mut upper: u32 = 0;
     let mut saw_eof = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
-        let t = raw.trim();
+    for (line, t) in lines(text) {
         if t.is_empty() || t.starts_with(';') {
             continue;
         }
@@ -92,19 +263,27 @@ pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
         let Some(hex) = t.strip_prefix(':') else {
             return Err(ParseError::BadStartCode { line });
         };
-        let bytes = decode_hex(hex).ok_or(ParseError::BadHexDigits { line })?;
-        if bytes.len() < 5 {
+        let hex = hex.as_bytes();
+        if !hex.len().is_multiple_of(2) {
+            return Err(ParseError::BadHexDigits { line });
+        }
+        let len = hex.len() / 2;
+        // A line longer than any record still has its digits checked first.
+        let digits_ok = match record.get_mut(..len) {
+            Some(out) => decode_hex(hex, out),
+            None => hex.iter().all(|&c| HEX_VALUE[usize::from(c)] != INVALID),
+        };
+        if !digits_ok {
+            return Err(ParseError::BadHexDigits { line });
+        }
+        if len < 5 || len != usize::from(record[0]) + 5 {
             return Err(ParseError::BadLength { line });
         }
-        let count = bytes[0] as usize;
-        if bytes.len() != count + 5 {
-            return Err(ParseError::BadLength { line });
-        }
-        let sum: u8 = bytes[..bytes.len() - 1]
+        let (body, found) = (&record[..len - 1], record[len - 1]);
+        let expected = body
             .iter()
-            .fold(0u8, |a, &b| a.wrapping_add(b));
-        let expected = sum.wrapping_neg();
-        let found = bytes[bytes.len() - 1];
+            .fold(0u8, |a, &b| a.wrapping_add(b))
+            .wrapping_neg();
         if expected != found {
             return Err(ParseError::BadChecksum {
                 line,
@@ -112,11 +291,10 @@ pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
                 found,
             });
         }
-        let addr = (u32::from(bytes[1]) << 8) | u32::from(bytes[2]);
-        let rtype = bytes[3];
-        let payload = &bytes[4..bytes.len() - 1];
-        match rtype {
-            RECORD_DATA => chunks.push(((upper << 16) | addr, payload.to_vec())),
+        let addr = (u32::from(record[1]) << 8) | u32::from(record[2]);
+        let payload = &record[4..len - 1];
+        match record[3] {
+            RECORD_DATA => data((upper << 16) | addr, payload),
             RECORD_EOF => saw_eof = true,
             RECORD_EXT_LINEAR => {
                 if payload.len() != 2 {
@@ -137,39 +315,7 @@ pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
     if !saw_eof {
         return Err(ParseError::MissingEof);
     }
-    if chunks.is_empty() {
-        return Ok((0, Vec::new()));
-    }
-    let base = chunks.iter().map(|(a, _)| *a).min().unwrap();
-    let end = chunks
-        .iter()
-        .map(|(a, d)| u64::from(*a) + d.len() as u64)
-        .max()
-        .unwrap();
-    let span = end - u64::from(base);
-    if span > u64::from(MAX_SPAN) {
-        return Err(ParseError::TooLarge { span });
-    }
-    let mut image = vec![0xff; span as usize];
-    for (a, d) in chunks {
-        let off = (a - base) as usize;
-        image[off..off + d.len()].copy_from_slice(&d);
-    }
-    Ok((base, image))
-}
-
-fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            Some((hi * 16 + lo) as u8)
-        })
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -266,11 +412,11 @@ mod tests {
 
     #[test]
     fn gaps_fill_with_erased_flash() {
-        let mut text = String::new();
+        let mut text = Vec::new();
         super::push_record(&mut text, 0, 0, &[1]);
         super::push_record(&mut text, 4, 0, &[2]);
         super::push_record(&mut text, 0, 1, &[]);
-        let (base, parsed) = parse_ihex(&text).unwrap();
+        let (base, parsed) = parse_ihex(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(base, 0);
         assert_eq!(parsed, vec![1, 0xff, 0xff, 0xff, 2]);
     }

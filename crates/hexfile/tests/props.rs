@@ -1,9 +1,9 @@
 //! Property tests: Intel HEX and MAVR container round-trips, and parser
 //! robustness against arbitrary and hostile input.
 
-use avr_core::device::ATMEGA2560;
+use avr_core::device::{Device, ATMEGA1284P, ATMEGA2560};
 use avr_core::image::{FirmwareImage, Symbol, SymbolKind};
-use hexfile::{parse_ihex, write_ihex, MavrContainer};
+use hexfile::{parse_ihex, write_ihex, MavrContainer, ParseError};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -118,6 +118,191 @@ fn mutate(text: &mut Vec<u8>, (op, a, b): (u8, u32, u32)) {
     *text = lines.join(&b'\n');
 }
 
+/// The one-pass parser the two-pass `parse_ihex` replaced: a `Vec` per
+/// line and a chunk list. The reference for the differential property.
+fn reference_parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
+    let mut chunks: Vec<(u32, Vec<u8>)> = Vec::new();
+    let mut upper: u32 = 0;
+    let mut saw_eof = false;
+    for (i, raw) in text.lines().enumerate() {
+        let line = i + 1;
+        let t = raw.trim();
+        if t.is_empty() || t.starts_with(';') {
+            continue;
+        }
+        if saw_eof {
+            break;
+        }
+        let Some(hex) = t.strip_prefix(':') else {
+            return Err(ParseError::BadStartCode { line });
+        };
+        let bytes = decode_hex(hex).ok_or(ParseError::BadHexDigits { line })?;
+        if bytes.len() < 5 {
+            return Err(ParseError::BadLength { line });
+        }
+        let count = bytes[0] as usize;
+        if bytes.len() != count + 5 {
+            return Err(ParseError::BadLength { line });
+        }
+        let sum: u8 = bytes[..bytes.len() - 1]
+            .iter()
+            .fold(0u8, |a, &b| a.wrapping_add(b));
+        let expected = sum.wrapping_neg();
+        let found = bytes[bytes.len() - 1];
+        if expected != found {
+            return Err(ParseError::BadChecksum {
+                line,
+                expected,
+                found,
+            });
+        }
+        let addr = (u32::from(bytes[1]) << 8) | u32::from(bytes[2]);
+        let rtype = bytes[3];
+        let payload = &bytes[4..bytes.len() - 1];
+        match rtype {
+            0x00 => chunks.push(((upper << 16) | addr, payload.to_vec())),
+            0x01 => saw_eof = true,
+            0x04 => {
+                if payload.len() != 2 {
+                    return Err(ParseError::BadLength { line });
+                }
+                upper = (u32::from(payload[0]) << 8) | u32::from(payload[1]);
+            }
+            // Start-address records carry no data we need.
+            0x03 | 0x05 => {}
+            other => {
+                return Err(ParseError::UnknownRecordType {
+                    line,
+                    record_type: other,
+                })
+            }
+        }
+    }
+    if !saw_eof {
+        return Err(ParseError::MissingEof);
+    }
+    if chunks.is_empty() {
+        return Ok((0, Vec::new()));
+    }
+    let base = chunks.iter().map(|(a, _)| *a).min().unwrap();
+    let end = chunks
+        .iter()
+        .map(|(a, d)| u64::from(*a) + d.len() as u64)
+        .max()
+        .unwrap();
+    let span = end - u64::from(base);
+    if span > u64::from(ATMEGA2560.flash_bytes) {
+        return Err(ParseError::TooLarge { span });
+    }
+    let mut image = vec![0xff; span as usize];
+    for (a, d) in chunks {
+        let off = (a - base) as usize;
+        image[off..off + d.len()].copy_from_slice(&d);
+    }
+    Ok((base, image))
+}
+
+fn decode_hex(s: &str) -> Option<Vec<u8>> {
+    if !s.len().is_multiple_of(2) {
+        return None;
+    }
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| {
+            let hi = (pair[0] as char).to_digit(16)?;
+            let lo = (pair[1] as char).to_digit(16)?;
+            Some((hi * 16 + lo) as u8)
+        })
+        .collect()
+}
+
+/// The container parser as it was before the HEX parser's first pass read
+/// the directives: its own pass over the lines, then the one-pass HEX
+/// parser. The reference for the container differential property.
+fn reference_container_parse(text: &str) -> Result<MavrContainer, ParseError> {
+    let mut device: Option<Device> = None;
+    let mut text_end = 0u32;
+    let mut symbols = Vec::new();
+    let mut fn_ptr_locs = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = i + 1;
+        let t = raw.trim();
+        let Some(directive) = t.strip_prefix(';') else {
+            continue;
+        };
+        let mut parts = directive.split_whitespace();
+        match parts.next() {
+            Some("MAVR") => {
+                let _version = parts.next();
+                let name = parts.next().ok_or_else(|| bad(line, "missing device"))?;
+                device = Some(match name {
+                    "ATmega2560" => ATMEGA2560,
+                    "ATmega1284P" => ATMEGA1284P,
+                    other => return Err(bad(line, &format!("unknown device {other}"))),
+                });
+            }
+            Some("TEXTEND") => {
+                text_end = parse_num(parts.next(), line)?;
+            }
+            Some("SYM") => {
+                let kind = match parts.next() {
+                    Some("F") => SymbolKind::Function,
+                    Some("O") => SymbolKind::Object,
+                    Some("X") => SymbolKind::Fixed,
+                    other => return Err(bad(line, &format!("bad symbol kind {other:?}"))),
+                };
+                let addr = parse_num(parts.next(), line)?;
+                let size = parse_num(parts.next(), line)?;
+                let name = parts
+                    .next()
+                    .ok_or_else(|| bad(line, "missing symbol name"))?
+                    .to_string();
+                symbols.push(Symbol {
+                    name,
+                    addr,
+                    size,
+                    kind,
+                });
+            }
+            Some("PTR") => {
+                fn_ptr_locs.push(parse_num(parts.next(), line)?);
+            }
+            _ => {} // unknown comment — ignore, like any HEX loader
+        }
+    }
+    let device = device.ok_or_else(|| bad(0, "missing ;MAVR header"))?;
+    let (base, bytes) = reference_parse_ihex(text)?;
+    if base != 0 {
+        return Err(bad(0, &format!("HEX body must load at 0, got {base:#x}")));
+    }
+    let image = FirmwareImage {
+        device,
+        bytes,
+        symbols,
+        text_end,
+        fn_ptr_locs,
+    };
+    image.validate().map_err(|reason| bad(0, &reason))?;
+    Ok(MavrContainer::new(image))
+}
+
+fn bad(line: usize, reason: &str) -> ParseError {
+    ParseError::BadDirective {
+        line,
+        reason: reason.to_string(),
+    }
+}
+
+fn parse_num(field: Option<&str>, line: usize) -> Result<u32, ParseError> {
+    let f = field.ok_or_else(|| bad(line, "missing numeric field"))?;
+    let parsed = if let Some(hex) = f.strip_prefix("0x") {
+        u32::from_str_radix(hex, 16)
+    } else {
+        f.parse()
+    };
+    parsed.map_err(|_| bad(line, &format!("bad number {f}")))
+}
+
 proptest! {
     #[test]
     fn ihex_round_trips(data in proptest::collection::vec(any::<u8>(), 0..4096),
@@ -147,8 +332,8 @@ proptest! {
     #[test]
     fn parser_never_panics_on_noise(noise in proptest::collection::vec(any::<u8>(), 0..512)) {
         let text = String::from_utf8_lossy(&noise).into_owned();
-        let _ = parse_ihex(&text); // must not panic
-        let _ = MavrContainer::parse(&text); // must not panic
+        prop_assert_eq!(parse_ihex(&text), reference_parse_ihex(&text));
+        prop_assert_eq!(MavrContainer::parse(&text), reference_container_parse(&text));
     }
 
     #[test]
@@ -235,5 +420,20 @@ proptest! {
         if let Ok(container) = MavrContainer::parse(&text) {
             prop_assert_eq!(MavrContainer::parse(&container.to_text()), Ok(container));
         }
+    }
+
+    /// Over the same mutations, the two-pass HEX parser and the container
+    /// parser give exactly their references' results, errors included.
+    #[test]
+    fn hex_parser_agrees_with_the_one_pass_reference(
+        ops in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 1..5),
+    ) {
+        let mut text = tiny_container_text().as_bytes().to_vec();
+        for &op in &ops {
+            mutate(&mut text, op);
+        }
+        let text = String::from_utf8_lossy(&text);
+        prop_assert_eq!(parse_ihex(&text), reference_parse_ihex(&text));
+        prop_assert_eq!(MavrContainer::parse(&text), reference_container_parse(&text));
     }
 }

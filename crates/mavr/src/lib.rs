@@ -15,7 +15,10 @@
 //!    to the application processor: retarget every absolute `call`/`jmp`
 //!    (including switch-statement trampolines that point *into* a block,
 //!    resolved by binary search over the old symbol table, §VI-B3) and
-//!    rewrite every function pointer recorded in the data section.
+//!    rewrite every function pointer recorded in the data section. The
+//!    lookups depend only on the image, so a [`PatchPlan`] does them once
+//!    and each boot's [`PatchPlan::apply`] only shuffles, copies blocks and
+//!    writes the resolved patches.
 //!
 //! [`math`] carries the security analysis of §V-D and §VIII-B (brute-force
 //! expectations and permutation entropy), and [`policy`] the randomization
@@ -43,7 +46,7 @@ pub mod preprocess;
 pub mod randomize;
 
 pub use preprocess::preprocess;
-pub use randomize::{randomize, RandomizeError, RandomizeOptions, RandomizedImage};
+pub use randomize::{randomize, PatchPlan, RandomizeError, RandomizeOptions, RandomizedImage};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

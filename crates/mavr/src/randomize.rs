@@ -125,215 +125,397 @@ pub struct PatchReport {
     pub pointers_patched: usize,
 }
 
-/// Shuffle the function blocks of `image` and patch every reference.
+/// Shuffle the function blocks of `image` and patch every reference: a
+/// [`PatchPlan`] built for `image`, applied once.
 pub fn randomize(
     image: &FirmwareImage,
     rng: &mut impl Rng,
     opts: &RandomizeOptions,
 ) -> Result<RandomizedImage, RandomizeError> {
-    let movable: Vec<&Symbol> = image
-        .symbols
-        .iter()
-        .filter(|s| s.kind == SymbolKind::Function)
-        .collect();
-    if movable.is_empty() {
-        return Ok(RandomizedImage {
-            image: image.clone(),
-            permutation: Vec::new(),
-            report: PatchReport::default(),
-        });
-    }
-
-    // The movable region must be one contiguous span with nothing fixed
-    // inside it.
-    let region_start = movable[0].addr;
-    let region_end = movable.last().unwrap().end();
-    let mut cursor = region_start;
-    for s in &movable {
-        if s.addr != cursor {
-            return Err(RandomizeError::NonContiguousText { addr: cursor });
-        }
-        cursor = s.end();
-    }
-    for s in &image.symbols {
-        if s.kind != SymbolKind::Function && s.addr >= region_start && s.addr < region_end {
-            return Err(RandomizeError::NonContiguousText { addr: s.addr });
-        }
-    }
-
-    // Which movable functions are targets of data-section pointers?
-    let mut constrained = vec![false; movable.len()];
-    if opts.constrain_icall_targets {
-        for &loc in &image.fn_ptr_locs {
-            let word = image.read_word(loc);
-            let byte = u32::from(word) * 2;
-            if let Some(rank) = rank_of(&movable, byte) {
-                constrained[rank] = true;
-            }
-        }
-    }
-
-    // Draw the permutation: a uniform shuffle of placement order, then
-    // repair icall-reach violations by swapping violators with
-    // unconstrained blocks placed low.
-    let n = movable.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(rng);
-    if opts.constrain_icall_targets {
-        repair_constraints(&mut order, &movable, &constrained, region_start, rng)?;
-    }
-
-    // New address of each movable rank.
-    let mut new_addr = vec![0u32; n];
-    let mut cursor = region_start;
-    for &rank in &order {
-        new_addr[rank] = cursor;
-        cursor += movable[rank].size;
-    }
-    debug_assert_eq!(cursor, region_end);
-
-    // Relocate the blocks.
-    let mut bytes = image.bytes.clone();
-    for (rank, sym) in movable.iter().enumerate() {
-        let src = sym.addr as usize..sym.end() as usize;
-        let dst = new_addr[rank] as usize;
-        bytes[dst..dst + sym.size as usize].copy_from_slice(&image.bytes[src]);
-    }
-
-    // Address translation for code targets.
-    let map_addr = |old_byte: u32, at: u32| -> Result<u32, RandomizeError> {
-        if let Some(rank) = rank_of(&movable, old_byte) {
-            return Ok(new_addr[rank] + (old_byte - movable[rank].addr));
-        }
-        // Outside the movable region: fixed code (vector table) is fine.
-        match image.symbol_containing(old_byte) {
-            Some(_) => Ok(old_byte),
-            None => Err(RandomizeError::UnmappableTarget {
-                at,
-                target: old_byte,
-            }),
-        }
-    };
-
-    // Streaming patch pass over the executable region: every absolute
-    // call/jmp is retargeted; relative branches must stay inside their
-    // (moved) block.
-    let mut report = PatchReport::default();
-    let mut off = 0u32;
-    while off + 1 < image.text_end {
-        let Some((insn, words)) = decode_at(&image.bytes, off as usize) else {
-            break;
-        };
-        let new_off = map_addr(off, off).unwrap_or(off);
-        match insn {
-            Insn::Call { k } | Insn::Jmp { k } => {
-                let old_target = k * 2;
-                let new_target = map_addr(old_target, off)?;
-                match insn {
-                    Insn::Call { .. } => report.calls_patched += 1,
-                    _ => {
-                        report.jumps_patched += 1;
-                        if let Some(rank) = rank_of(&movable, old_target) {
-                            if old_target != movable[rank].addr {
-                                report.trampolines_patched += 1;
-                            }
-                        }
-                    }
-                }
-                let patched = match insn {
-                    Insn::Call { .. } => Insn::Call { k: new_target / 2 },
-                    _ => Insn::Jmp { k: new_target / 2 },
-                };
-                let ws = encode(&patched).expect("patched long branch re-encodes");
-                let base = new_off as usize;
-                bytes[base..base + 2].copy_from_slice(&ws[0].to_le_bytes());
-                bytes[base + 2..base + 4].copy_from_slice(&ws[1].to_le_bytes());
-            }
-            Insn::Rcall { k } | Insn::Rjmp { k } => {
-                // Target must stay inside the same function block.
-                let target = off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2);
-                let same_block = match (rank_of(&movable, off), rank_of(&movable, target)) {
-                    (Some(a), Some(b)) => a == b,
-                    // Fixed-region code may branch within itself.
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !same_block && !opts.ignore_relaxed_branches {
-                    return Err(RandomizeError::RelaxedBranch { at: off });
-                }
-            }
-            _ => {}
-        }
-        off += words * 2;
-    }
-
-    // Patch data-section function pointers (16-bit word addresses).
-    for &loc in &image.fn_ptr_locs {
-        let word = image.read_word(loc);
-        let old_byte = u32::from(word) * 2;
-        if rank_of(&movable, old_byte).is_none() && image.symbol_containing(old_byte).is_none() {
-            return Err(RandomizeError::BadFunctionPointer { loc });
-        }
-        let new_byte = map_addr(old_byte, loc)?;
-        if new_byte >= ICALL_REACH_BYTES && opts.constrain_icall_targets {
-            // Cannot happen when repair_constraints succeeded; a loud check
-            // beats a silently truncated pointer.
-            return Err(RandomizeError::ConstraintUnsatisfiable);
-        }
-        let new_word = (new_byte / 2) as u16;
-        bytes[loc as usize..loc as usize + 2].copy_from_slice(&new_word.to_le_bytes());
-        report.pointers_patched += 1;
-    }
-
-    // Rebuild the symbol table at the new addresses.
-    let mut symbols: Vec<Symbol> = image
-        .symbols
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            if s.kind == SymbolKind::Function {
-                let rank = rank_of(&movable, s.addr).expect("movable symbol");
-                s.addr = new_addr[rank];
-            }
-            s
-        })
-        .collect();
-    symbols.sort_by_key(|s| s.addr);
-
-    // permutation[i] = new rank of old rank i.
-    let mut order_index = vec![0usize; n];
-    for (pos, &rank) in order.iter().enumerate() {
-        order_index[rank] = pos;
-    }
-
-    let out = FirmwareImage {
-        device: image.device,
-        bytes,
-        symbols,
-        text_end: image.text_end,
-        fn_ptr_locs: image.fn_ptr_locs.clone(),
-    };
-    debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-    Ok(RandomizedImage {
-        image: out,
-        permutation: order_index,
-        report,
-    })
+    PatchPlan::new(image).apply(image, rng, opts)
 }
 
-/// Rank (index in address order) of the movable symbol containing
+/// A movable function block: its address and size in the original image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Block {
+    addr: u32,
+    size: u32,
+}
+
+impl Block {
+    fn end(&self) -> u32 {
+        self.addr + self.size
+    }
+
+    fn contains(&self, byte_addr: u32) -> bool {
+        byte_addr >= self.addr && byte_addr < self.end()
+    }
+}
+
+/// An original-image address, resolved against the movable blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// `offset` bytes into the movable block of rank `rank`.
+    Moved { rank: usize, offset: u32 },
+    /// Fixed code or data: keeps its address under every permutation.
+    Fixed(u32),
+}
+
+impl Place {
+    fn relocate(self, new_addr: &[u32]) -> u32 {
+        match self {
+            Place::Moved { rank, offset } => new_addr[rank] + offset,
+            Place::Fixed(addr) => addr,
+        }
+    }
+}
+
+/// One absolute `call`/`jmp` to retarget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Site {
+    /// Where the instruction sits.
+    at: Place,
+    /// Where it points.
+    target: Place,
+    /// `call` (else `jmp`).
+    call: bool,
+}
+
+/// Everything about randomizing one image that does not depend on the
+/// permutation, computed once: the movable blocks and the icall-constrained
+/// set, every absolute `call`/`jmp` site resolved by §VI-B3's binary search
+/// to a (block rank, offset) or a fixed address, and the data-section
+/// pointer slots. [`PatchPlan::apply`] then only draws a permutation,
+/// copies blocks and writes patches — the per-boot work of the master.
+///
+/// Errors that depend only on the image are found while building and held
+/// back, so `apply` returns each one at the point the one-pass randomizer
+/// would have, after the same random draws.
+#[derive(Debug, Clone)]
+pub struct PatchPlan {
+    /// Movable blocks in address order (index = rank).
+    blocks: Vec<Block>,
+    /// For each symbol of the image, the movable rank holding its address.
+    symbol_ranks: Vec<Option<usize>>,
+    /// Ranks targeted by a data-section function pointer.
+    constrained: Vec<bool>,
+    /// The movable region is not one contiguous span of blocks.
+    layout_error: Option<RandomizeError>,
+    /// Absolute branches in address order, up to `scan_error`.
+    sites: Vec<Site>,
+    /// The first relative branch that leaves its block, before `scan_error`.
+    first_relaxed: Option<u32>,
+    /// The first unmappable absolute branch target, which ends the scan.
+    scan_error: Option<RandomizeError>,
+    /// Patch counters for the absolute branches.
+    branches: PatchReport,
+    /// Each pointer slot's location and target, in slot order.
+    pointers: Vec<Result<(u32, Place), RandomizeError>>,
+}
+
+impl PatchPlan {
+    /// Plan the randomization of `image`.
+    pub fn new(image: &FirmwareImage) -> Self {
+        let blocks: Vec<Block> = image
+            .symbols
+            .iter()
+            .filter(|s| s.kind == SymbolKind::Function)
+            .map(|s| Block {
+                addr: s.addr,
+                size: s.size,
+            })
+            .collect();
+        let mut plan = PatchPlan {
+            symbol_ranks: image
+                .symbols
+                .iter()
+                .map(|s| rank_of(&blocks, s.addr))
+                .collect(),
+            constrained: vec![false; blocks.len()],
+            blocks,
+            layout_error: None,
+            sites: Vec::new(),
+            first_relaxed: None,
+            scan_error: None,
+            branches: PatchReport::default(),
+            pointers: Vec::new(),
+        };
+        if plan.blocks.is_empty() {
+            return plan;
+        }
+        plan.layout_error = plan.check_layout(image).err();
+        if plan.layout_error.is_some() {
+            return plan;
+        }
+        for &loc in &image.fn_ptr_locs {
+            let byte = u32::from(image.read_word(loc)) * 2;
+            if let Some(rank) = rank_of(&plan.blocks, byte) {
+                plan.constrained[rank] = true;
+            }
+        }
+        plan.scan_text(image);
+        plan.pointers = image
+            .fn_ptr_locs
+            .iter()
+            .map(|&loc| {
+                let byte = u32::from(image.read_word(loc)) * 2;
+                match plan.place(image, byte) {
+                    Some(place) => Ok((loc, place)),
+                    None => Err(RandomizeError::BadFunctionPointer { loc }),
+                }
+            })
+            .collect();
+        plan
+    }
+
+    /// The movable region must be one contiguous span with nothing fixed
+    /// inside it.
+    fn check_layout(&self, image: &FirmwareImage) -> Result<(), RandomizeError> {
+        let region_start = self.blocks[0].addr;
+        let region_end = self.region_end();
+        let mut cursor = region_start;
+        for b in &self.blocks {
+            if b.addr != cursor {
+                return Err(RandomizeError::NonContiguousText { addr: cursor });
+            }
+            cursor = b.end();
+        }
+        for s in &image.symbols {
+            if s.kind != SymbolKind::Function && s.addr >= region_start && s.addr < region_end {
+                return Err(RandomizeError::NonContiguousText { addr: s.addr });
+            }
+        }
+        Ok(())
+    }
+
+    fn region_end(&self) -> u32 {
+        self.blocks.last().expect("non-empty movable set").end()
+    }
+
+    /// Resolve an original address: inside a movable block, or fixed code
+    /// (the vector table). `None` lies outside every symbol.
+    fn place(&self, image: &FirmwareImage, byte: u32) -> Option<Place> {
+        match rank_of(&self.blocks, byte) {
+            Some(rank) => Some(Place::Moved {
+                rank,
+                offset: byte - self.blocks[rank].addr,
+            }),
+            None => image.symbol_containing(byte).map(|_| Place::Fixed(byte)),
+        }
+    }
+
+    /// One decode of the executable region: record every absolute
+    /// call/jmp, and the first relative branch that leaves its block.
+    fn scan_text(&mut self, image: &FirmwareImage) {
+        let mut off = 0u32;
+        while off + 1 < image.text_end {
+            let at = off as usize;
+            let word = image
+                .bytes
+                .get(at..at + 2)
+                .map(|w| u16::from_le_bytes([w[0], w[1]]));
+            if word.is_some_and(|w| !needs_decode(w)) {
+                off += 2;
+                continue;
+            }
+            let Some((insn, words)) = decode_at(&image.bytes, at) else {
+                break;
+            };
+            match insn {
+                Insn::Call { k } | Insn::Jmp { k } => {
+                    let old_target = k * 2;
+                    let Some(target) = self.place(image, old_target) else {
+                        self.scan_error = Some(RandomizeError::UnmappableTarget {
+                            at: off,
+                            target: old_target,
+                        });
+                        return;
+                    };
+                    let call = matches!(insn, Insn::Call { .. });
+                    if call {
+                        self.branches.calls_patched += 1;
+                    } else {
+                        self.branches.jumps_patched += 1;
+                        if matches!(target, Place::Moved { offset, .. } if offset != 0) {
+                            self.branches.trampolines_patched += 1;
+                        }
+                    }
+                    self.sites.push(Site {
+                        at: self.place(image, off).unwrap_or(Place::Fixed(off)),
+                        target,
+                        call,
+                    });
+                }
+                Insn::Rcall { k } | Insn::Rjmp { k } => {
+                    // Target must stay inside the same function block.
+                    let target = off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2);
+                    let same_block =
+                        match (rank_of(&self.blocks, off), rank_of(&self.blocks, target)) {
+                            (Some(a), Some(b)) => a == b,
+                            // Fixed-region code may branch within itself.
+                            (None, None) => true,
+                            _ => false,
+                        };
+                    if !same_block && self.first_relaxed.is_none() {
+                        self.first_relaxed = Some(off);
+                    }
+                }
+                _ => {}
+            }
+            off += words * 2;
+        }
+    }
+
+    /// Draw a permutation with `rng` and produce the randomized, patched
+    /// image. `image` must be the image this plan was built from.
+    pub fn apply(
+        &self,
+        image: &FirmwareImage,
+        rng: &mut impl Rng,
+        opts: &RandomizeOptions,
+    ) -> Result<RandomizedImage, RandomizeError> {
+        debug_assert_eq!(self.symbol_ranks.len(), image.symbols.len());
+        if self.blocks.is_empty() {
+            return Ok(RandomizedImage {
+                image: image.clone(),
+                permutation: Vec::new(),
+                report: PatchReport::default(),
+            });
+        }
+        if let Some(e) = &self.layout_error {
+            return Err(e.clone());
+        }
+
+        // Draw the permutation: a uniform shuffle of placement order, then
+        // repair icall-reach violations by swapping violators with
+        // unconstrained blocks placed low.
+        let region_start = self.blocks[0].addr;
+        let n = self.blocks.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(rng);
+        if opts.constrain_icall_targets {
+            repair_constraints(
+                &mut order,
+                &self.blocks,
+                &self.constrained,
+                region_start,
+                rng,
+            )?;
+        }
+
+        // New address of each movable rank.
+        let mut new_addr = vec![0u32; n];
+        let mut cursor = region_start;
+        for &rank in &order {
+            new_addr[rank] = cursor;
+            cursor += self.blocks[rank].size;
+        }
+        debug_assert_eq!(cursor, self.region_end());
+
+        // Relocate the blocks.
+        let mut bytes = image.bytes.clone();
+        for (rank, b) in self.blocks.iter().enumerate() {
+            let src = b.addr as usize..b.end() as usize;
+            let dst = new_addr[rank] as usize;
+            bytes[dst..dst + b.size as usize].copy_from_slice(&image.bytes[src]);
+        }
+
+        // Retarget every absolute call/jmp; relative branches must stay
+        // inside their (moved) block.
+        if let (Some(at), false) = (self.first_relaxed, opts.ignore_relaxed_branches) {
+            return Err(RandomizeError::RelaxedBranch { at });
+        }
+        if let Some(e) = &self.scan_error {
+            return Err(e.clone());
+        }
+        for site in &self.sites {
+            let k = site.target.relocate(&new_addr) / 2;
+            let patched = if site.call {
+                Insn::Call { k }
+            } else {
+                Insn::Jmp { k }
+            };
+            let ws = encode(&patched).expect("patched long branch re-encodes");
+            let base = site.at.relocate(&new_addr) as usize;
+            bytes[base..base + 2].copy_from_slice(&ws[0].to_le_bytes());
+            bytes[base + 2..base + 4].copy_from_slice(&ws[1].to_le_bytes());
+        }
+        let mut report = self.branches;
+
+        // Patch data-section function pointers (16-bit word addresses).
+        for pointer in &self.pointers {
+            let (loc, target) = pointer.clone()?;
+            let new_byte = target.relocate(&new_addr);
+            if new_byte >= ICALL_REACH_BYTES && opts.constrain_icall_targets {
+                // Cannot happen when repair_constraints succeeded; a loud check
+                // beats a silently truncated pointer.
+                return Err(RandomizeError::ConstraintUnsatisfiable);
+            }
+            let new_word = (new_byte / 2) as u16;
+            bytes[loc as usize..loc as usize + 2].copy_from_slice(&new_word.to_le_bytes());
+            report.pointers_patched += 1;
+        }
+
+        // Rebuild the symbol table at the new addresses.
+        let mut symbols: Vec<Symbol> = image
+            .symbols
+            .iter()
+            .zip(&self.symbol_ranks)
+            .map(|(s, rank)| {
+                let mut s = s.clone();
+                if s.kind == SymbolKind::Function {
+                    s.addr = new_addr[rank.expect("movable symbol")];
+                }
+                s
+            })
+            .collect();
+        symbols.sort_by_key(|s| s.addr);
+
+        // permutation[i] = new rank of old rank i.
+        let mut order_index = vec![0usize; n];
+        for (pos, &rank) in order.iter().enumerate() {
+            order_index[rank] = pos;
+        }
+
+        let out = FirmwareImage {
+            device: image.device,
+            bytes,
+            symbols,
+            text_end: image.text_end,
+            fn_ptr_locs: image.fn_ptr_locs.clone(),
+        };
+        debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
+        Ok(RandomizedImage {
+            image: out,
+            permutation: order_index,
+            report,
+        })
+    }
+}
+
+/// Whether the plan must decode the instruction starting with `word`: an
+/// absolute or relative branch, or one of the other two-word instructions
+/// (`lds`/`sts`), whose length the scan needs. Every other word is a
+/// one-word instruction the plan skips undecoded.
+fn needs_decode(word: u16) -> bool {
+    word & 0xfe0c == 0x940c // jmp, call
+        || word & 0xfc0f == 0x9000 // lds, sts
+        || word & 0xe000 == 0xc000 // rjmp, rcall
+}
+
+/// Rank (index in address order) of the movable block containing
 /// `byte_addr`, by binary search — the paper's §VI-B3 lookup.
-fn rank_of(movable: &[&Symbol], byte_addr: u32) -> Option<usize> {
-    let idx = movable.partition_point(|s| s.addr <= byte_addr);
+fn rank_of(blocks: &[Block], byte_addr: u32) -> Option<usize> {
+    let idx = blocks.partition_point(|b| b.addr <= byte_addr);
     let rank = idx.checked_sub(1)?;
-    movable[rank].contains(byte_addr).then_some(rank)
+    blocks[rank].contains(byte_addr).then_some(rank)
 }
 
 /// Move constrained blocks early enough in the placement order that they
 /// stay within icall reach.
 fn repair_constraints(
     order: &mut [usize],
-    movable: &[&Symbol],
+    blocks: &[Block],
     constrained: &[bool],
     region_start: u32,
     rng: &mut impl Rng,
@@ -341,9 +523,9 @@ fn repair_constraints(
     let limit = ICALL_REACH_BYTES;
     let total_constrained: u32 = constrained
         .iter()
-        .zip(movable)
+        .zip(blocks)
         .filter(|(c, _)| **c)
-        .map(|(_, s)| s.size)
+        .map(|(_, b)| b.size)
         .sum();
     if region_start + total_constrained > limit {
         return Err(RandomizeError::ConstraintUnsatisfiable);
@@ -355,7 +537,7 @@ fn repair_constraints(
         let mut violator_pos = None;
         let mut low_positions = Vec::new();
         for (pos, &rank) in order.iter().enumerate() {
-            let end = cursor + movable[rank].size;
+            let end = cursor + blocks[rank].size;
             if constrained[rank] && end > limit && violator_pos.is_none() {
                 violator_pos = Some(pos);
             }
@@ -386,6 +568,21 @@ mod tests {
         build(&apps::tiny_test_app(), &BuildOptions::safe_mavr())
             .unwrap()
             .image
+    }
+
+    #[test]
+    fn skipped_words_are_one_word_non_branches() {
+        for w in (0..=u16::MAX).filter(|&w| !needs_decode(w)) {
+            let (insn, words) = avr_core::decode::decode(&[w, 0]);
+            assert_eq!(words, 1, "{w:#06x}");
+            assert!(
+                !matches!(
+                    insn,
+                    Insn::Call { .. } | Insn::Jmp { .. } | Insn::Rcall { .. } | Insn::Rjmp { .. }
+                ),
+                "{w:#06x}"
+            );
+        }
     }
 
     #[test]

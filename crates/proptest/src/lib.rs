@@ -10,10 +10,14 @@
 //! Differences from real proptest, deliberately accepted:
 //!
 //! * **No shrinking.** A failing case panics with the generated inputs in
-//!   scope; rerunning is deterministic (the per-test RNG is seeded from the
-//!   test's name), so failures reproduce exactly.
+//!   scope and prints its case seed. Each case's RNG is seeded from the
+//!   test's name and the case index, so failures reproduce exactly, and
+//!   `PROPTEST_SEED=<seed>` reruns just that case.
 //! * **Generation only.** There is no persistence of failing seeds and no
 //!   `prop_assume` rejection bookkeeping beyond a retry cap.
+//!
+//! `PROPTEST_CASES=<n>` overrides every property's case count, for soak
+//! runs.
 
 #![forbid(unsafe_code)]
 
@@ -35,30 +39,91 @@ pub mod prelude {
 /// `rand` shim).
 pub type TestRng = StdRng;
 
-/// Seed a [`TestRng`] for a named test: FNV-1a over the name, so every test
-/// function explores a distinct but reproducible stream.
-pub fn rng_for_test(name: &str) -> TestRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    StdRng::seed_from_u64(h)
+/// The seed of a named test's case stream: FNV-1a over the name, so every
+/// test function explores a distinct but reproducible stream.
+fn seed_for_test(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Run `cases` generated inputs through `body`. Used by the [`proptest!`]
+/// A positive integer from environment variable `var` (decimal, or hex
+/// with `0x`), if set. Panics on a malformed value rather than silently
+/// running the default.
+fn env_number(var: &str) -> Option<u64> {
+    let text = std::env::var(var).ok()?;
+    let t = text.trim();
+    let parsed = match t.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => t.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("{var}={text:?} is not a number")))
+}
+
+/// Names the failing case while a panic unwinds through it.
+struct CaseReport<'a> {
+    name: &'a str,
+    case: u64,
+    cases: u64,
+    seed: u64,
+}
+
+impl Drop for CaseReport<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: {} failed at case {}/{} with case seed {:#018x} \
+                 (rerun it alone with PROPTEST_SEED={:#x})",
+                self.name,
+                self.case + 1,
+                self.cases,
+                self.seed,
+                self.seed
+            );
+        }
+    }
+}
+
+/// Run `config.cases` generated cases of test `name` through `case`, each
+/// from its own RNG seeded by `mix64(seed_for_test(name), index)`.
+/// `PROPTEST_CASES` overrides the count; `PROPTEST_SEED` runs exactly the
+/// one case with that seed. Used by the [`proptest!`] macro; not public API
+/// of real proptest.
+pub fn run_cases(
+    name: &str,
+    config: test_runner::ProptestConfig,
+    mut case: impl FnMut(&mut TestRng),
+) {
+    let seeds: Vec<u64> = match env_number("PROPTEST_SEED") {
+        Some(seed) => vec![seed],
+        None => {
+            let cases = env_number("PROPTEST_CASES").unwrap_or(u64::from(config.cases));
+            let base = seed_for_test(name);
+            (0..cases).map(|i| rand::mix64(base, i)).collect()
+        }
+    };
+    for (index, &seed) in seeds.iter().enumerate() {
+        let _report = CaseReport {
+            name,
+            case: index as u64,
+            cases: seeds.len() as u64,
+            seed,
+        };
+        case(&mut StdRng::seed_from_u64(seed));
+    }
+}
+
+/// Run the generated cases of one property. Used by the [`proptest!`]
 /// macro; not public API of real proptest.
 #[macro_export]
 macro_rules! __proptest_case {
     ($cfg:expr, $name:expr, ( $($arg:pat),* ), ( $($strat:expr),* ), $body:block) => {{
-        let cfg: $crate::test_runner::ProptestConfig = $cfg;
-        let mut rng = $crate::rng_for_test($name);
-        for __case in 0..cfg.cases {
+        $crate::run_cases($name, $cfg, |__rng: &mut $crate::TestRng| {
             $(
-                let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);
+                let $arg = $crate::strategy::Strategy::generate(&($strat), __rng);
             )*
             $body
-        }
+        });
     }};
 }
 
@@ -111,4 +176,46 @@ macro_rules! prop_oneof {
             $($crate::strategy::Strategy::boxed($strat)),+
         ])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::RngCore;
+    use test_runner::ProptestConfig;
+
+    /// The first draw of every case of test `name`.
+    fn first_draws(name: &str, cases: u32) -> Vec<u64> {
+        let mut draws = Vec::new();
+        run_cases(name, ProptestConfig::with_cases(cases), |rng| {
+            draws.push(rng.next_u64())
+        });
+        draws
+    }
+
+    #[test]
+    fn cases_are_reproducible_and_independent() {
+        let expected = env_number("PROPTEST_SEED")
+            .map(|_| 1)
+            .or(env_number("PROPTEST_CASES"))
+            .unwrap_or(8);
+        let a = first_draws("some_property", 8);
+        assert_eq!(a.len() as u64, expected);
+        assert_eq!(a, first_draws("some_property", 8));
+        assert_ne!(a, first_draws("another_property", 8));
+        let mut distinct = a.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), a.len());
+    }
+
+    #[test]
+    fn a_failing_case_still_fails() {
+        let failed = std::panic::catch_unwind(|| {
+            run_cases("always_fails", ProptestConfig::with_cases(3), |_| {
+                panic!("property violated")
+            })
+        });
+        assert!(failed.is_err());
+    }
 }
