@@ -59,21 +59,6 @@ pub fn predecode_image(bytes: &[u8]) -> Vec<Predecoded> {
         .collect()
 }
 
-/// Re-decode the entries affected by a write of `len` bytes at byte address
-/// `byte_addr`. A changed byte at word `w` invalidates the entry at `w`
-/// *and* at `w - 1` (whose second word it may be), so the patched range is
-/// widened by one word on the left.
-pub fn predecode_patch(table: &mut [Predecoded], bytes: &[u8], byte_addr: usize, len: usize) {
-    if len == 0 {
-        return;
-    }
-    let lo = (byte_addr / 2).saturating_sub(1);
-    let hi = ((byte_addr + len - 1) / 2 + 1).min(table.len());
-    for (w, entry) in table.iter_mut().enumerate().take(hi).skip(lo) {
-        *entry = predecode_at(bytes, w);
-    }
-}
-
 fn d5(w: u16) -> Reg {
     Reg::new(((w >> 4) & 0x1f) as u8)
 }
@@ -621,23 +606,5 @@ mod tests {
         // The truncated call at the edge decodes as Invalid, width 1.
         assert_eq!(table[4].insn, Insn::Invalid(0x940c));
         assert_eq!(table[4].width, 1);
-    }
-
-    #[test]
-    fn predecode_patch_redecodes_neighbouring_word() {
-        // call 6 at word 0 spans words 0..2; patching word 1 must re-decode
-        // word 0 too, because word 1 is its second word.
-        let mut bytes: Vec<u8> = [0x940eu16, 0x0006, 0x9508]
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
-        let mut table = predecode_image(&bytes);
-        assert_eq!(table[0].insn, Insn::Call { k: 6 });
-
-        bytes[2..4].copy_from_slice(&0x0042u16.to_le_bytes());
-        predecode_patch(&mut table, &bytes, 2, 2);
-        assert_eq!(table[0].insn, Insn::Call { k: 0x42 });
-        assert_eq!(table[2].insn, Insn::Ret, "untouched word must survive");
-        assert_eq!(table, predecode_image(&bytes));
     }
 }

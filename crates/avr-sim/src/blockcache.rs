@@ -47,6 +47,7 @@ use avr_core::{io, sreg, Insn, Predecoded, PtrReg, Reg};
 
 use crate::adc::{ADCH_ADDR, ADCL_ADDR, ADCSRA_ADDR, ADMUX_ADDR};
 use crate::alu;
+use crate::icache;
 use crate::periph::PORTB_ADDR;
 use crate::timer::{TCCR0B_ADDR, TCNT0_ADDR, TIFR0_ADDR, TIMSK0_ADDR};
 
@@ -646,11 +647,22 @@ impl BlockCache {
 
     /// The fused block starting at word `pc`, discovering it on a miss.
     /// `None` when `pc` is out of range or the block is too small to fuse.
-    pub fn lookup(&mut self, icache: &[Predecoded], pc: u32) -> Option<FusedBlock> {
+    /// Discovery first fills the predecode pages the scan can read (`pc
+    /// ..= pc +` [`MAX_BLOCK_WORDS`]) from `flash`.
+    pub fn lookup(
+        &mut self,
+        icache: &mut [Predecoded],
+        flash: &[u8],
+        pc: u32,
+    ) -> Option<FusedBlock> {
         let slot = *self.index.get(pc as usize)?;
         match slot {
             TINY => None,
-            UNDISCOVERED => self.discover(icache, pc),
+            UNDISCOVERED => {
+                let at = pc as usize;
+                icache::fill_span(icache, flash, at, at + usize::from(MAX_BLOCK_WORDS));
+                self.discover(icache, pc)
+            }
             i => Some(self.blocks[i as usize]),
         }
     }
@@ -698,8 +710,8 @@ impl BlockCache {
     }
 
     /// Invalidate every block overlapping the flash write of `len` bytes at
-    /// byte address `addr`. Mirrors `predecode_patch`'s range semantics: the
-    /// patched word range is widened one word left (a changed word may be
+    /// byte address `addr`. Mirrors the predecode cache's reset range: the
+    /// written word range is widened one word left (a changed word may be
     /// the second word of its predecessor), and block starts are scanned up
     /// to [`MAX_BLOCK_WORDS`] − 1 words further left, the farthest a block
     /// can begin and still reach the patch.
@@ -758,17 +770,34 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avr_core::decode::predecode_image;
     use avr_core::encode::encode;
     use avr_core::Reg;
 
-    fn table(insns: &[Insn]) -> Vec<Predecoded> {
-        let bytes: Vec<u8> = insns
+    /// An encoded program and its predecode table, built undecoded so every
+    /// lookup also exercises the fill on discovery.
+    struct Prog {
+        flash: Vec<u8>,
+        icache: Vec<Predecoded>,
+    }
+
+    impl Prog {
+        fn len(&self) -> usize {
+            self.icache.len()
+        }
+    }
+
+    fn prog(insns: &[Insn]) -> Prog {
+        let flash: Vec<u8> = insns
             .iter()
             .flat_map(|i| encode(i).unwrap())
             .flat_map(|w| w.to_le_bytes())
             .collect();
-        predecode_image(&bytes)
+        let icache = icache::undecoded(flash.len() / 2);
+        Prog { flash, icache }
+    }
+
+    fn lookup(c: &mut BlockCache, t: &mut Prog, pc: u32) -> Option<FusedBlock> {
+        c.lookup(&mut t.icache, &t.flash, pc)
     }
 
     #[test]
@@ -914,7 +943,7 @@ mod tests {
 
     #[test]
     fn lookup_discovers_and_memoizes() {
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Ldi { d: Reg::R16, k: 1 },
             Insn::Ldi { d: Reg::R17, k: 2 },
             Insn::Add {
@@ -925,24 +954,24 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         assert_eq!((b.insns, b.words, b.cycles), (3, 3, 3));
         assert!(b.pure);
         assert_eq!(b.mop_len, 3, "three live micro-ops");
         assert_eq!(c.live(), 1);
         // Memoized: same record back.
-        assert_eq!(c.lookup(&t, 0), Some(b));
+        assert_eq!(lookup(&mut c, &mut t, 0), Some(b));
         // Entering mid-block creates an overlapping (shorter) block.
-        let b2 = c.lookup(&t, 1).unwrap();
+        let b2 = lookup(&mut c, &mut t, 1).unwrap();
         assert_eq!(b2.insns, 2);
         assert_eq!(c.live(), 2);
         // A one-instruction tail still fuses (its terminator tail-steps in
         // the same dispatch); a terminator start is empty and stays tiny.
-        let b3 = c.lookup(&t, 2).unwrap();
+        let b3 = lookup(&mut c, &mut t, 2).unwrap();
         assert_eq!(b3.insns, 1);
         assert_eq!(c.live(), 3);
-        assert_eq!(c.lookup(&t, 3), None);
-        assert_eq!(c.lookup(&t, 100), None, "out of range");
+        assert_eq!(lookup(&mut c, &mut t, 3), None);
+        assert_eq!(lookup(&mut c, &mut t, 100), None, "out of range");
     }
 
     #[test]
@@ -957,30 +986,30 @@ mod tests {
             Insn::Ldi { d: Reg::R19, k: 4 },
             Insn::Ret,
         ]);
-        let t = table(&insns);
+        let mut t = prog(&insns);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
-        c.lookup(&t, 3).unwrap();
+        lookup(&mut c, &mut t, 0).unwrap();
+        lookup(&mut c, &mut t, 3).unwrap();
         assert_eq!(c.live(), 2);
         // Patch word 4 (byte 8): only the second block overlaps.
         c.invalidate_range(8, 2);
         assert_eq!(c.live(), 1);
         assert_eq!(c.invalidations, 1);
-        assert!(c.lookup(&t, 0).is_some(), "first block survives");
+        assert!(lookup(&mut c, &mut t, 0).is_some(), "first block survives");
     }
 
     #[test]
     fn clear_charges_only_flash_mutations() {
-        let t = table(&[Insn::Ldi { d: Reg::R16, k: 1 }, Insn::Nop, Insn::Ret]);
+        let mut t = prog(&[Insn::Ldi { d: Reg::R16, k: 1 }, Insn::Nop, Insn::Ret]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
+        lookup(&mut c, &mut t, 0).unwrap();
         c.clear(false);
         assert_eq!(c.invalidations, 0, "host reconfiguration is free");
         assert!(c.index.is_empty(), "clear drops the table");
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
+        lookup(&mut c, &mut t, 0).unwrap();
         let hits_before = c.hits;
         c.clear(true);
         assert_eq!(c.invalidations, 1, "erase charges the live count");
@@ -992,7 +1021,7 @@ mod tests {
         // cp's flags are fully recomputed by subi before anything reads
         // them; subi's own flags die into the second subi. Only the last
         // op's flags survive to the terminator.
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Cp {
                 d: Reg::R0,
                 r: Reg::R1,
@@ -1003,7 +1032,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         assert!(b.pure);
         assert_eq!((b.insns, b.mop_len), (3, 2), "cp deleted outright");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
@@ -1014,7 +1043,7 @@ mod tests {
     #[test]
     fn compile_keeps_flags_live_across_readers() {
         // adc reads C: the add before it must stay flagged.
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Add {
                 d: Reg::R0,
                 r: Reg::R2,
@@ -1027,7 +1056,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
         assert_eq!(ops[0].op, Mop::Add);
         assert_eq!(ops[1].op, Mop::Adc);
@@ -1038,7 +1067,7 @@ mod tests {
         // An indirect load can alias SREG in data space (X = 0x5f reads the
         // flags as a plain byte), so `cp` must survive even though `sub`
         // recomputes every flag before the terminator.
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Cp {
                 d: Reg::R0,
                 r: Reg::R1,
@@ -1055,7 +1084,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         assert!(b.pure);
         assert_eq!(b.mop_len, 3, "cp is pinned live by the dynamic read");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
@@ -1065,7 +1094,7 @@ mod tests {
 
     #[test]
     fn compile_records_stack_excursion() {
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Push { r: Reg::R0 },
             Insn::Push { r: Reg::R1 },
             Insn::Pop { d: Reg::R2 },
@@ -1073,7 +1102,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         assert!(b.pure && b.stack);
         // Accesses at sp+0 (push), sp-1 (push), sp-1 (pop).
         assert_eq!((b.sp_lo, b.sp_hi), (-1, 0));
@@ -1083,7 +1112,7 @@ mod tests {
     fn compile_demotes_stack_ops_after_sp_write() {
         // `out SPL, r28` retargets the stack; a later push would escape the
         // entry-SP margin proof, so the block must fall to the careful path.
-        let t = table(&[
+        let mut t = prog(&[
             Insn::Out {
                 a: io::SPL,
                 r: Reg::R28,
@@ -1093,7 +1122,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = lookup(&mut c, &mut t, 0).unwrap();
         assert!(!b.pure, "SP write before a stack op demotes the block");
     }
 

@@ -43,6 +43,7 @@ mod blockcache;
 pub mod eeprom;
 mod fault;
 pub mod forensics;
+mod icache;
 mod machine;
 mod periph;
 pub mod profiler;

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use avr_core::decode::{predecode_at, predecode_image, predecode_patch};
+use avr_core::decode::predecode_at;
 use avr_core::device::{Device, ATMEGA2560};
 use avr_core::{io, Insn, Predecoded, PtrReg, Reg};
 
@@ -13,6 +13,7 @@ use crate::alu;
 use crate::blockcache::{BlockCache, BlockStats, FusedBlock, MicroOp, Mop};
 use crate::eeprom::{Eeprom, EEARH_ADDR, EECR_ADDR};
 use crate::fault::{Fault, RunExit};
+use crate::icache;
 use crate::periph::{
     Heartbeat, PortB, Pwm, Uart, Watchdog, OCR0A_ADDR, OCR0B_ADDR, PORTB_ADDR, UCSR0A_ADDR,
     UDR0_ADDR,
@@ -133,9 +134,10 @@ pub struct Machine {
     /// relative to the hot machine state.
     cycle_profile: Option<Box<CycleProfile>>,
     /// Predecoded instruction cache, one entry per flash word. Empty means
-    /// "not built yet" — it is built lazily by the first fast [`run`] and
-    /// patched in place on every flash mutation, so cached and uncached
-    /// execution are bit-for-bit identical.
+    /// "not built yet" — the first fast [`run`] builds it all undecoded, a
+    /// fetch decodes the page it lands on, and every flash mutation resets
+    /// the entries it may have changed (see [`crate::icache`]), so cached
+    /// and uncached execution are bit-for-bit identical.
     ///
     /// [`run`]: Machine::run
     icache: Vec<Predecoded>,
@@ -144,8 +146,8 @@ pub struct Machine {
     predecode: bool,
     /// Fused basic-block cache layered over the icache: superinstruction
     /// records with folded cycle totals, one event check per block. Like
-    /// the icache it is pure memoization — lazily built, patched per flash
-    /// write, never snapshotted.
+    /// the icache it is pure memoization — lazily built, invalidated per
+    /// flash write, never snapshotted.
     bcache: BlockCache,
     /// Whether block-fused dispatch is enabled (on by default; requires
     /// predecode). See [`Machine::set_block_fusion`].
@@ -238,9 +240,7 @@ impl Machine {
         let a = addr as usize;
         self.flash[a..a + bytes.len()].copy_from_slice(bytes);
         self.mark_flash_dirty(a, bytes.len());
-        if !self.icache.is_empty() {
-            predecode_patch(&mut self.icache, &self.flash, a, bytes.len());
-        }
+        icache::reset_range(&mut self.icache, a, bytes.len());
         self.bcache.invalidate_range(a, bytes.len());
     }
 
@@ -254,11 +254,7 @@ impl Machine {
     pub fn erase_flash(&mut self) {
         self.flash.fill(0xff);
         self.dirty_flash.fill(!0);
-        if !self.icache.is_empty() {
-            // Every erased word decodes identically (0xffff is reserved),
-            // so a single repeated entry refreshes the whole cache.
-            self.icache.fill(predecode_at(&self.flash, 0));
-        }
+        icache::reset_all(&mut self.icache);
         self.bcache.clear(true);
     }
 
@@ -307,7 +303,7 @@ impl Machine {
 
     fn ensure_icache(&mut self) {
         if self.predecode && self.icache.is_empty() {
-            self.icache = predecode_image(&self.flash);
+            self.icache = icache::undecoded(self.flash.len() / 2);
         }
     }
 
@@ -603,13 +599,16 @@ impl Machine {
     // ---- execution ----
 
     /// The decoded instruction starting at word address `pc`: out of the
-    /// cache when it is built, straight from the decoder otherwise. Both
-    /// paths share [`predecode_at`]'s edge semantics (a two-word opcode
-    /// truncated by the end of flash is `Invalid`, width 1).
+    /// cache when its entry is decoded, straight from the decoder otherwise
+    /// (the careful path does not fill the cache). Both paths share
+    /// [`predecode_at`]'s edge semantics (a two-word opcode truncated by the
+    /// end of flash is `Invalid`, width 1).
     #[inline]
     fn fetch_at(&self, pc: u32) -> Result<Predecoded, Fault> {
         if let Some(e) = self.icache.get(pc as usize) {
-            return Ok(*e);
+            if !icache::is_undecoded(e) {
+                return Ok(*e);
+            }
         }
         if pc >= self.device.flash_words() {
             return Err(Fault::PcOutOfBounds { pc });
@@ -834,7 +833,7 @@ impl Machine {
                 // A suppressed pending interrupt delivers after exactly one
                 // more instruction; a fused block would overshoot it.
                 if self.block_fusion && !(irq_ready && suppressed) {
-                    if let Some(b) = self.fused_block_at(self.pc, horizon) {
+                    if let Some((b, raises_irq)) = self.fused_block_at(self.pc, horizon) {
                         self.bcache.hits += 1;
                         let rem = match self.exec_block(&b) {
                             Ok(rem) => rem,
@@ -844,16 +843,14 @@ impl Machine {
                             }
                         };
                         // Terminator tail: the instruction that ended the
-                        // block steps in the same dispatch when no boundary
-                        // event intervenes. The body cannot set `irq_delay`
-                        // (every delay-setting instruction is itself a
-                        // terminator), so the full boundary check reduces to
-                        // the horizon and a freshly-pending interrupt — the
-                        // block's last cycle may have raised the overflow.
-                        if self.cycles < horizon
-                            && !(self.data[SREG_DATA as usize] & (1 << avr_core::sreg::I) != 0
-                                && self.irq_source_pending())
-                        {
+                        // block steps in the same dispatch unless the
+                        // horizon is reached or the block's last cycle
+                        // raised an interrupt. No other interrupt can be
+                        // due here: none was deliverable at entry (it would
+                        // have vectored above), and the body cannot set I
+                        // or `irq_delay` (every instruction that could is
+                        // itself a terminator).
+                        if self.cycles < horizon && !raises_irq {
                             if let Err(f) = self.step_tail(rem) {
                                 let _ = self.fail(f);
                                 return RunExit::Faulted(f);
@@ -882,13 +879,16 @@ impl Machine {
     /// remainder first, preserving stepped advance order exactly.
     #[inline]
     fn step_tail(&mut self, rem: u64) -> Result<(), Fault> {
-        let entry = match self.icache.get(self.pc as usize) {
+        let mut entry = match self.icache.get(self.pc as usize) {
             Some(e) => *e,
             None => {
                 self.advance_peripherals(rem);
                 return Err(Fault::PcOutOfBounds { pc: self.pc });
             }
         };
+        if icache::is_undecoded(&entry) {
+            entry = self.fill_at(self.pc);
+        }
         let merge = matches!(
             entry.insn,
             Insn::Rjmp { .. }
@@ -924,6 +924,14 @@ impl Machine {
         result
     }
 
+    /// Decode the page holding word `pc` (a first fetch) and return its
+    /// entry.
+    #[cold]
+    fn fill_at(&mut self, pc: u32) -> Predecoded {
+        icache::fill_page(&mut self.icache, &self.flash, pc as usize);
+        self.icache[pc as usize]
+    }
+
     /// The fused block starting at `pc`, if one exists (discovered lazily)
     /// *and* dispatching it whole is provably identical to stepping it:
     ///
@@ -932,39 +940,45 @@ impl Machine {
     ///    watchdog deadline (every instruction costs ≥ 1 cycle, so each
     ///    boundary sits strictly below the horizon);
     /// 2. if Timer0 overflow delivery is armed (I set, TOIE0 set, timer
-    ///    running), the block completes no later than the next overflow —
-    ///    an overflow raised by the block's *last* cycle is delivered at
-    ///    the boundary check after the block, exactly where the stepping
-    ///    loop would take it. Mid-block hazards cannot arise otherwise:
-    ///    every instruction that could unmask or retrigger the interrupt
-    ///    (SREG/TIMSK0/TCCR0B/TCNT0/TIFR0 writes, `sei`) ends a block.
-    fn fused_block_at(&mut self, pc: u32, horizon: u64) -> Option<FusedBlock> {
-        let b = self.bcache.lookup(&self.icache, pc)?;
+    ///    running), the block completes no later than the next overflow.
+    ///    Mid-block hazards cannot arise otherwise: every instruction that
+    ///    could unmask or retrigger the interrupt (SREG/TIMSK0/TCCR0B/
+    ///    TCNT0/TIFR0 writes, `sei`) ends a block.
+    ///
+    /// The flag returned with the block says whether its *last* cycle
+    /// raises an armed overflow or conversion end. Stepping delivers that
+    /// interrupt before the block's terminator, so the caller must not run
+    /// the terminator tail first — and cannot see the interrupt pending,
+    /// because the pure path defers the block's timer advance past that
+    /// point.
+    fn fused_block_at(&mut self, pc: u32, horizon: u64) -> Option<(FusedBlock, bool)> {
+        let b = self.bcache.lookup(&mut self.icache, &self.flash, pc)?;
         if self.cycles + u64::from(b.cycles) > horizon {
             return None;
         }
+        let mut raises_irq = false;
         if self.data[SREG_DATA as usize] & (1 << avr_core::sreg::I) != 0 {
             if self.timer0.timsk & timer::TOV0 != 0 {
                 if let Some(to_overflow) = self.timer0.cycles_to_overflow() {
                     if u64::from(b.cycles) > to_overflow {
                         return None;
                     }
+                    raises_irq |= u64::from(b.cycles) == to_overflow;
                 }
             }
             // Same reasoning for an armed ADC conversion: the block must
-            // complete no later than conversion end, so a completion raised
-            // by the last cycle delivers at the boundary check after the
-            // block — exactly where stepping would take it. ADC register
-            // writes (start, enable, ADIE) all end blocks.
+            // complete no later than conversion end. ADC register writes
+            // (start, enable, ADIE) all end blocks.
             if self.adc.irq_armed() {
                 if let Some(to_done) = self.adc.cycles_to_done() {
                     if u64::from(b.cycles) > to_done {
                         return None;
                     }
+                    raises_irq |= u64::from(b.cycles) == to_done;
                 }
             }
         }
-        Some(b)
+        Some((b, raises_irq))
     }
 
     /// Execute a fused block whose entry conditions [`fused_block_at`] has
@@ -1013,7 +1027,9 @@ impl Machine {
         // The predecode table moves out of `self` for the duration of the
         // block so `exec` can borrow `self` mutably. No fusable instruction
         // can reach it: flash writes (`spm`) are structural terminators and
-        // `exec` never consults the table otherwise.
+        // `exec` never consults the table otherwise. Every entry the block
+        // spans is decoded: discovery filled its pages, and a flash write
+        // that resets any of them invalidates the block too.
         let icache = std::mem::take(&mut self.icache);
         let result = self.exec_block_careful(b, &icache);
         self.icache = icache;
@@ -1203,9 +1219,12 @@ impl Machine {
                 self.data[a] = self.flash_byte(u32::from(z));
             }
             Mop::LpmInc => {
+                // Load, then increment, as `exec` does: for `lpm r30, Z+`
+                // and `lpm r31, Z+` (undefined on the part) the increment
+                // is what the register keeps.
                 let z = pair_at(head, 30);
-                set_pair_at(head, 30, z.wrapping_add(1));
                 self.data[a] = self.flash_byte(u32::from(z));
+                self.set_reg_pair(Reg::R30, z.wrapping_add(1));
             }
             Mop::Elpm => {
                 let addr = self.rampz_z();
@@ -1772,9 +1791,9 @@ impl Machine {
     /// Replace the architectural state with a snapshot taken by
     /// [`Machine::capture_state`].
     ///
-    /// The predecode cache is dropped (it memoizes the *old* flash) and
-    /// rebuilt lazily by the next fast run, so restoring is equally correct
-    /// under `set_predecode(true)` and `(false)`. Everything becomes dirty:
+    /// Every predecode entry is reset to undecoded (it memoizes the *old*
+    /// flash) and refilled page by page as it is fetched, so restoring is
+    /// equally correct under `set_predecode(true)` and `(false)`. Everything becomes dirty:
     /// the next delta snapshot after a restore is a full capture.
     ///
     /// # Panics
@@ -1807,7 +1826,7 @@ impl Machine {
         self.portb.value = s.portb;
         self.insns_retired = s.insns_retired;
         self.interrupts_taken = s.interrupts_taken;
-        self.icache = Vec::new();
+        icache::reset_all(&mut self.icache);
         self.bcache.clear(false);
         self.dirty_data = !0;
         self.dirty_flash.fill(!0);

@@ -3,13 +3,14 @@
 //! computation and terminator tail-stepping) must be architecturally
 //! indistinguishable from one stepping the predecode cache per instruction
 //! *and* from one decoding flash on every fetch — a three-way oracle, run
-//! through interrupts, a live watchdog, timer rewrites, heartbeat I/O and
-//! mid-run reflashes.
+//! through interrupts, a live watchdog, timer rewrites, heartbeat I/O,
+//! mid-run reflashes and single-page writes across the predecode cache's
+//! page boundaries.
 
-use avr_core::encode::encode_to_bytes;
+use avr_core::encode::{encode, encode_to_bytes};
 use avr_core::{Insn, PtrReg, Reg, YZ};
 use avr_sim::timer::{TCCR0B_ADDR, TCNT0_ADDR, TOV0};
-use avr_sim::{Fault, Machine};
+use avr_sim::{Fault, Machine, PORTB_ADDR};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -174,6 +175,75 @@ fn batch_strategy() -> impl Strategy<Value = Vec<u64>> {
     pvec(prop_oneof![Just(1u64), 2u64..40, 40u64..400], 1..24)
 }
 
+/// Words per flash page: the unit the predecode cache fills on a first
+/// fetch.
+const PAGE_WORDS: u32 = 128;
+/// The two-word instruction whose second word is the first word of the
+/// next page (page 0 is P, page 1 is P+1 in the property below).
+const STRADDLE_WORD: u32 = PAGE_WORDS - 1;
+/// The skip at the end of page 1 whose two-word victim opens page 2.
+const SKIP_WORD: u32 = 2 * PAGE_WORDS - 1;
+/// Words of page 1 between the straddler's second word and the skip.
+const MIDDLE: std::ops::Range<u32> = PAGE_WORDS + 1..SKIP_WORD;
+/// Data addresses a straddling `lds`/`sts` reads or writes: scratch SRAM,
+/// the timer (a block-ending write, a sync-offset read) and the heartbeat
+/// port.
+const WIDE_DATA: [u16; 5] = [0x0300, 0x0340, TCNT0_ADDR, TCCR0B_ADDR, PORTB_ADDR];
+
+/// A two-word instruction of family `kind` whose second word is chosen by
+/// `v`: a `call`/`jmp` into the middle of page 1, or an `lds`/`sts` of one
+/// of [`WIDE_DATA`]. Two instructions of one family differ only in their
+/// second word.
+fn wide(kind: u8, v: u16) -> Insn {
+    let k = MIDDLE.start + u32::from(v) % MIDDLE.len() as u32;
+    let addr = WIDE_DATA[usize::from(v) % WIDE_DATA.len()];
+    match kind % 4 {
+        0 => Insn::Call { k },
+        1 => Insn::Jmp { k },
+        2 => Insn::Lds {
+            d: Reg::R25,
+            k: addr,
+        },
+        _ => Insn::Sts {
+            k: addr,
+            r: Reg::R24,
+        },
+    }
+}
+
+/// `cpse`, `sbrc` or `sbrs`, each on the registers the soup computes with.
+fn skip(kind: u8, bit: u8) -> Insn {
+    match kind % 3 {
+        0 => Insn::Cpse {
+            d: Reg::R24,
+            r: Reg::R25,
+        },
+        1 => Insn::Sbrc {
+            r: Reg::R24,
+            b: bit,
+        },
+        _ => Insn::Sbrs {
+            r: Reg::R24,
+            b: bit,
+        },
+    }
+}
+
+/// Encode as many of `prog` as fit in `words` words, then pad with `nop`s
+/// to exactly `words`.
+fn fit(prog: &[Insn], words: u32) -> Vec<u8> {
+    let mut out = Vec::new();
+    for insn in prog {
+        let enc = encode(insn).unwrap();
+        if out.len() / 2 + enc.len() > words as usize {
+            break;
+        }
+        out.extend(enc.iter().flat_map(|w| w.to_le_bytes()));
+    }
+    out.resize(words as usize * 2, 0); // 0x0000 is `nop`
+    out
+}
+
 proptest! {
     /// Raw random words: most decode to garbage and fault quickly — the
     /// fused engine must fault at the identical instruction and cycle.
@@ -289,6 +359,78 @@ proptest! {
         }
         lockstep_batched(&mut ms, &batches);
     }
+
+    /// Page-boundary coherence of the fill-on-first-fetch predecode cache.
+    /// A two-word instruction straddles pages 0 and 1 (its second word opens
+    /// page 1), and a skip ends page 1 with a two-word victim on page 2,
+    /// which no fetch has filled when the stepping engine first skips it.
+    /// Part-way through the flight, one `load_flash` rewrites page 1 alone,
+    /// changing the straddler's second word and some of the code after it:
+    /// the entry on page 0 must be decoded afresh and every overlapping
+    /// block dropped, in lockstep with the uncached reference.
+    #[test]
+    fn single_page_writes_across_page_boundaries_execute_identically(
+        prefix in pvec(insn_strategy(), 0..40),
+        straddle in (any::<u8>(), any::<u16>(), any::<u16>()),
+        middle in pvec(insn_strategy(), 0..48),
+        skip_at_end in (any::<u8>(), 0u8..8, any::<u8>(), any::<u16>()),
+        suffix in pvec(insn_strategy(), 0..16),
+        patch in (pvec(insn_strategy(), 0..8), 0u32..100),
+        prescale in 1u8..=3,
+        before in batch_strategy(),
+        after in batch_strategy(),
+    ) {
+        let (kind, v_old, v_new) = straddle;
+        let (old, new) = (wide(kind, v_old), wide(kind, v_new));
+        let (old_words, new_words) = (encode(&old).unwrap(), encode(&new).unwrap());
+        prop_assert_eq!(old_words[0], new_words[0], "only the second word changes");
+        let (skip_kind, bit, victim_kind, victim_v) = skip_at_end;
+
+        // Page 0 from PROG_WORD: the prefix, nop-padded up to the
+        // straddler's first word. Page 1: its second word, the middle, the
+        // skip. Page 2: the skipped two-word victim, the suffix, and a jump
+        // back to the top.
+        let mut image = fit(&prefix, STRADDLE_WORD - PROG_WORD);
+        image.extend(old_words.iter().flat_map(|w| w.to_le_bytes()));
+        image.extend(fit(&middle, MIDDLE.len() as u32));
+        image.extend(encode_to_bytes(&[skip(skip_kind, bit), wide(victim_kind, victim_v)]).unwrap());
+        let mut tail = suffix.clone();
+        tail.push(Insn::Jmp { k: PROG_WORD });
+        image.extend(encode_to_bytes(&tail).unwrap());
+
+        let mut ms = triple(|m| {
+            m.load_flash(avr_sim::timer::TIMER0_OVF_VECTOR * 4,
+                         &encode_to_bytes(&[Insn::Reti]).unwrap());
+            m.load_flash(PROG_WORD * 2, &image);
+            m.set_pc_bytes(PROG_WORD * 2);
+            m.set_sreg(1 << 7); // I
+            m.timer0.tccr_b = prescale;
+            m.timer0.timsk = TOV0;
+        });
+        prop_assert_eq!(
+            ms[0].flash()[(STRADDLE_WORD * 2) as usize..][..4].to_vec(),
+            old_words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>()
+        );
+        lockstep_batched(&mut ms, &before);
+
+        // Rewrite page 1 alone: the straddler's new second word, and the
+        // patch program somewhere in the middle.
+        let (patch_prog, patch_at) = patch;
+        let page1 = (PAGE_WORDS * 2) as usize;
+        let mut fresh = ms[0].flash()[page1..2 * page1].to_vec();
+        fresh[..2].copy_from_slice(&new_words[1].to_le_bytes());
+        let patch_bytes = fit(&patch_prog, 8);
+        let at = (1 + patch_at as usize % (MIDDLE.len() - 8)) * 2;
+        fresh[at..at + patch_bytes.len()].copy_from_slice(&patch_bytes);
+        for m in ms.iter_mut() {
+            m.load_flash(page1 as u32, &fresh);
+        }
+        prop_assert_eq!(
+            ms[0].flash()[(STRADDLE_WORD * 2) as usize..][..4].to_vec(),
+            new_words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>()
+        );
+        lockstep_batched(&mut ms, &after);
+    }
 }
 
 /// The cycle profiler needs per-instruction attribution, so enabling it
@@ -384,4 +526,56 @@ fn block_stats_are_observable_but_inert() {
         0,
         "disabled engine dispatched none"
     );
+}
+
+/// A block whose last cycle raises the Timer0 overflow: stepping vectors
+/// before the block's terminator, so the fused engine must not run the
+/// terminator first. Three `nop`s from TCNT0 = 253 at prescale 1 end
+/// exactly on the overflow.
+#[test]
+fn an_overflow_raised_by_a_blocks_last_cycle_is_taken_before_its_terminator() {
+    let prog = [Insn::Nop, Insn::Nop, Insn::Nop, Insn::Rjmp { k: -4 }];
+    let mut ms = triple(|m| {
+        m.load_flash(
+            avr_sim::timer::TIMER0_OVF_VECTOR * 4,
+            &encode_to_bytes(&[Insn::Reti]).unwrap(),
+        );
+        m.load_flash(PROG_WORD * 2, &encode_to_bytes(&prog).unwrap());
+        m.set_pc_bytes(PROG_WORD * 2);
+        m.set_sreg(1 << 7); // I
+        m.timer0.tccr_b = 1;
+        m.timer0.timsk = TOV0;
+        m.timer0.tcnt = 253;
+    });
+    // The 4-cycle batch ends right after the overflow: stepping stops in
+    // the handler's return, a terminator run first stops past the loop's
+    // `rjmp`. The longer batches run the loop through more overflows.
+    lockstep_batched(&mut ms, &[4, 100, 600]);
+    assert!(ms[0].interrupts_taken > 0);
+    assert!(ms[0].block_stats().hits > 0, "the loop body fuses");
+}
+
+/// `lpm r30, Z+` and `lpm r31, Z+` load into the pointer they increment
+/// (undefined on the part): every engine must keep what stepping keeps.
+#[test]
+fn a_post_increment_load_into_its_own_pointer_matches_stepping() {
+    for d in [Reg::R30, Reg::R31] {
+        let prog = [
+            Insn::Ldi { d: Reg::R30, k: 0 },
+            Insn::Ldi { d: Reg::R31, k: 0 },
+            Insn::Lpm { d, post_inc: true },
+            Insn::Mov {
+                d: Reg::R17,
+                r: Reg::R30,
+            },
+            Insn::Mov {
+                d: Reg::R18,
+                r: Reg::R31,
+            },
+            Insn::Break,
+        ];
+        let mut ms = triple(|m| m.load_flash(0, &encode_to_bytes(&prog).unwrap()));
+        lockstep_batched(&mut ms, &[100]);
+        assert!(ms[0].block_stats().hits > 0, "the body fuses");
+    }
 }

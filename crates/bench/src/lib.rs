@@ -586,9 +586,15 @@ pub fn write_bench(name: &str, record: Json, quick: bool) -> std::io::Result<Str
 /// 1M cycles of the tiny firmware, across the three-tier engine chain:
 /// decode-every-fetch (`uncached`), the predecode cache and fast run loop
 /// (`predecoded`), and block-fused dispatch (`block_fused`, the default).
-/// `quick` takes fewer samples, for CI smoke.
+///
+/// `cold_start_ratio` is what a freshly programmed board pays before it
+/// runs at speed: on the paper-scale `plane` image, the first 150k cycles
+/// (one `plane-provision` flight) after `load_flash` on a fresh machine
+/// (every predecode fill and block discovery included) over the next 150k
+/// on the same machine. `quick` takes fewer samples, for CI smoke.
 pub fn simulator_throughput(quick: bool) -> Json {
     const CYCLES: u64 = 1_000_000;
+    const COLD_START_CYCLES: u64 = 150_000;
     let samples = if quick { 3 } else { 11 };
     let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
     let bytes = &fw.image.bytes;
@@ -611,6 +617,30 @@ pub fn simulator_throughput(quick: bool) -> Json {
             &mut leg(true, true),
         ],
     );
+    let plane = build(&apps::synth_plane(), &BuildOptions::safe_mavr()).unwrap();
+    let programmed = || {
+        let mut m = avr_sim::Machine::new_atmega2560();
+        m.load_flash(0, &plane.image.bytes);
+        m
+    };
+    let [cold, next] = time_arms(
+        samples,
+        [
+            &mut || {
+                let mut m = programmed();
+                let dt = secs(|| m.run(COLD_START_CYCLES));
+                assert!(m.fault().is_none(), "plane firmware crashed");
+                dt
+            },
+            &mut || {
+                let mut m = programmed();
+                m.run(COLD_START_CYCLES);
+                let dt = secs(|| m.run(COLD_START_CYCLES));
+                assert!(m.fault().is_none(), "plane firmware crashed");
+                dt
+            },
+        ],
+    );
     let rate = |s: Spread| real(CYCLES as f64 / s.min);
     obj(vec![
         ("bench", Json::str("run_1M_cycles/tiny_firmware")),
@@ -621,6 +651,7 @@ pub fn simulator_throughput(quick: bool) -> Json {
         ("predecode_speedup", real(uncached.min / predecoded.min)),
         ("fusion_speedup", real(predecoded.min / fused.min)),
         ("total_speedup", real(uncached.min / fused.min)),
+        ("cold_start_ratio", real(cold.min / next.min)),
         (
             "spread",
             spread(
@@ -629,6 +660,8 @@ pub fn simulator_throughput(quick: bool) -> Json {
                     ("uncached", uncached),
                     ("predecoded", predecoded),
                     ("block_fused", fused),
+                    ("plane_first_150k", cold),
+                    ("plane_next_150k", next),
                 ],
             ),
         ),

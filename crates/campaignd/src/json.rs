@@ -6,6 +6,13 @@
 //! The workspace is offline (every dependency is an in-repo path), so this is
 //! hand-rolled rather than pulled in; it parses strict JSON (RFC 8259) minus
 //! nothing we emit: escapes, nested containers, exponents all work.
+//! Containers nest at most [`MAX_DEPTH`] deep: the parser recurses once per
+//! level, so an unbounded request line of brackets would otherwise overflow
+//! the stack and abort the whole service.
+
+/// Deepest container nesting [`Json::parse`] accepts. Specs and protocol
+/// lines nest three levels at most; beyond this the parse is an error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys keep insertion order (specs serialize
 /// deterministically).
@@ -32,6 +39,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -165,6 +173,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -202,8 +212,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "containers nest deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected `{}` at byte {}",
@@ -275,8 +299,14 @@ impl<'a> Parser<'a> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
-                                    char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00))
+                                    if (0xdc00..0xe000).contains(&low) {
+                                        char::from_u32(
+                                            0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00),
+                                        )
                                         .unwrap_or('\u{fffd}')
+                                    } else {
+                                        '\u{fffd}'
+                                    }
                                 } else {
                                     '\u{fffd}'
                                 }
@@ -413,6 +443,35 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        // 200 KB of brackets, far under the request-line cap: unbounded
+        // recursion would overflow the stack and abort the process.
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nest deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).unwrap_err().contains("nest deeper"));
+        // Exactly MAX_DEPTH levels still parse and round-trip.
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let v = Json::parse(&limit).unwrap();
+        assert_eq!(v.to_text(), limit);
+        let over = format!("[{limit}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn a_high_surrogate_without_its_low_half_is_a_replacement_char() {
+        // The second escape is not a low surrogate: no arithmetic on it.
+        for text in [r#""\ud800\u0041""#, r#""\ud800\uffff""#] {
+            assert_eq!(Json::parse(text).unwrap(), Json::str("\u{fffd}"), "{text}");
+        }
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap(),
+            Json::str("\u{1f600}")
+        );
     }
 
     #[test]

@@ -192,3 +192,34 @@ fn protocol_answers_status_and_survives_garbage() {
     assert!(lines[1].contains(r#""done_jobs":0"#) && lines[1].contains(r#""total_jobs":1"#));
     assert!(lines[2].contains(r#""shutdown":true"#));
 }
+
+#[test]
+fn a_request_nested_past_the_depth_limit_is_answered_and_the_stream_goes_on() {
+    // 200 KB of brackets: within the request-line cap, so it reaches the
+    // JSON parser, which must answer with an error instead of recursing
+    // until the stack overflows and the whole service aborts.
+    let root = tmp_root("deep");
+    let service = Service::new(root, Arc::new(AtomicBool::new(false)));
+    let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    assert!(deep.len() < mavr_campaignd::server::MAX_REQUEST_BYTES);
+    let input = format!(
+        "{deep}\n{}\n{}\n",
+        r#"{"op":"stats"}"#, r#"{"op":"shutdown"}"#
+    );
+    let mut output = Vec::new();
+    mavr_campaignd::server::serve_lines(&service, input.as_bytes(), &mut output).unwrap();
+    let output = String::from_utf8(output).unwrap();
+    let lines: Vec<&str> = output.lines().collect();
+    assert_eq!(lines.len(), 3, "{output}");
+    assert!(
+        lines[0].contains(r#""ok":false"#) && lines[0].contains("nest deeper"),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains(r#""ok":true"#) && lines[1].contains(r#""campaignd_errors":1"#),
+        "the next request is served: {}",
+        lines[1]
+    );
+    assert!(lines[2].contains(r#""shutdown":true"#));
+}

@@ -74,7 +74,7 @@ impl MavrContainer {
         let mut text_end = 0u32;
         let mut symbols = Vec::new();
         let mut fn_ptr_locs = Vec::new();
-        // The directives are read in the HEX parser's first pass.
+        // The directives are read in the HEX parser's walk over the lines.
         let scanned = scan(text, |line, directive| {
             let mut parts = directive.split_whitespace();
             match parts.next() {
@@ -118,7 +118,7 @@ impl MavrContainer {
             Ok(())
         })?;
         let device = device.ok_or_else(|| bad(0, "missing ;MAVR header"))?;
-        let (base, bytes) = scanned.load(text)?;
+        let (base, bytes) = scanned.body?;
         if base != 0 {
             return Err(bad(0, &format!("HEX body must load at 0, got {base:#x}")));
         }

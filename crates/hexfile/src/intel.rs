@@ -124,19 +124,6 @@ fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     text.lines().enumerate().map(|(i, raw)| (i + 1, raw.trim()))
 }
 
-/// A record line's count, address and type, read from its first eight
-/// digits, when its length matches its count. `None` means the full
-/// decode rejects the line.
-fn record_header(t: &str) -> Option<(usize, u32, u8)> {
-    let hex = t.strip_prefix(':')?.as_bytes();
-    let mut header = [0u8; 4];
-    decode_hex(hex.get(..8)?, &mut header).then_some(())?;
-    let count = usize::from(header[0]);
-    (hex.len() == 2 * (count + 5)).then_some(())?;
-    let addr = (u32::from(header[1]) << 8) | u32::from(header[2]);
-    Some((count, addr, header[3]))
-}
-
 /// Decode hex digit pairs into `out` (`hex.len() == 2 * out.len()`);
 /// false if any digit is not hex.
 fn decode_hex(hex: &[u8], out: &mut [u8]) -> bool {
@@ -159,107 +146,68 @@ fn decode_hex(hex: &[u8], out: &mut [u8]) -> bool {
 /// skipped, which is how the MAVR container directives stay compatible with
 /// standard loaders.
 ///
-/// A first pass ([`scan`]) reads only the record headers, to bound the
-/// loaded span before anything is allocated; the second ([`Scanned::load`])
-/// validates every record and decodes each data record straight into the
-/// image. Errors come in line order, then a missing EOF, then a span too
-/// large for any flash.
+/// One walk over the lines ([`scan`]) validates every record and decodes
+/// each data record straight into the image, which grows to the span loaded
+/// so far and is dropped as soon as that span outgrows any flash. Errors
+/// come in line order, then a missing EOF, then a span too large for any
+/// flash.
 pub fn parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
-    scan(text, |_, _| Ok(()))?.load(text)
+    scan(text, |_, _| Ok(()))?.body
 }
 
-/// The first pass of [`parse_ihex`] over a text: the span its data records
-/// cover, as their headers say.
+/// The result of [`scan`]: the decoded HEX body, or the first error in it,
+/// held back so that the caller's directive errors (found anywhere in the
+/// text) come first.
 pub(crate) struct Scanned {
-    /// `(lowest address, end)`, or `None` with no data records.
-    span: Option<(u32, u64)>,
+    /// `(base address, bytes)` as [`parse_ihex`] returns them.
+    pub body: Result<(u32, Vec<u8>), ParseError>,
 }
 
-/// Read the data records' span from their headers alone, up to the EOF
-/// record, and hand every `;` line (without the `;`) to `comment` on the
-/// way, so the MAVR container reads its directives in the same pass. The
-/// span stops growing at the first record line with a malformed header:
-/// the full decode rejects that line, so nothing after it loads.
+/// Walk `text` once: hand every `;` line (without the `;`) to `comment`,
+/// returning its first error at once, and validate and load every record up
+/// to the EOF record into [`Scanned::body`].
 pub(crate) fn scan(
     text: &str,
     mut comment: impl FnMut(usize, &str) -> Result<(), ParseError>,
 ) -> Result<Scanned, ParseError> {
-    let mut span: Option<(u32, u64)> = None;
-    let mut upper = 0u32;
-    let mut loading = true;
+    let mut body = Body::default();
+    let mut record: Record = [0; 260];
+    let mut error = None;
     for (line, t) in lines(text) {
         if let Some(c) = t.strip_prefix(';') {
             comment(line, c)?;
-            continue;
-        }
-        if t.is_empty() || !loading {
-            continue;
-        }
-        let Some((count, addr, rtype)) = record_header(t) else {
-            loading = false;
-            continue;
-        };
-        match rtype {
-            RECORD_DATA => {
-                let addr = (upper << 16) | addr;
-                let end = u64::from(addr) + count as u64;
-                span = Some(span.map_or((addr, end), |(lo, hi)| (lo.min(addr), hi.max(end))));
-            }
-            RECORD_EOF => loading = false,
-            RECORD_EXT_LINEAR => {
-                let mut payload = [0u8; 2];
-                if count == 2 && decode_hex(&t.as_bytes()[9..13], &mut payload) {
-                    upper = u32::from(u16::from_be_bytes(payload));
-                } else {
-                    loading = false;
-                }
-            }
-            _ => {}
+        } else if !t.is_empty() && !body.saw_eof && error.is_none() {
+            error = body.record(&mut record, line, t).err();
         }
     }
-    Ok(Scanned { span })
+    let body = match error {
+        Some(e) => Err(e),
+        None => body.finish(),
+    };
+    Ok(Scanned { body })
 }
 
-impl Scanned {
-    /// The second pass of [`parse_ihex`] over the same text.
-    pub(crate) fn load(self, text: &str) -> Result<(u32, Vec<u8>), ParseError> {
-        let Some((base, end)) = self
-            .span
-            .filter(|&(base, end)| end - u64::from(base) <= u64::from(MAX_SPAN))
-        else {
-            // Nothing to load, or too much: validate before saying which.
-            for_each_data_record(text, |_, _| {})?;
-            return match self.span {
-                None => Ok((0, Vec::new())),
-                Some((base, end)) => Err(ParseError::TooLarge {
-                    span: end - u64::from(base),
-                }),
-            };
-        };
-        let mut image = vec![0xff; (end - u64::from(base)) as usize];
-        for_each_data_record(text, |addr, payload| {
-            let off = (addr - base) as usize;
-            image[off..off + payload.len()].copy_from_slice(payload);
-        })?;
-        Ok((base, image))
-    }
+/// A decoded record: count + address + type + 255 payload bytes + checksum.
+type Record = [u8; 260];
+
+/// The HEX body loaded so far by [`scan`].
+#[derive(Default)]
+struct Body {
+    /// Upper 16 address bits from the last extended linear address record.
+    upper: u32,
+    saw_eof: bool,
+    /// `(lowest address, end)` of the data records, or `None` before the
+    /// first one.
+    span: Option<(u32, u64)>,
+    /// The bytes from the lowest address, while the span fits in
+    /// [`MAX_SPAN`]; emptied for good once it does not.
+    image: Vec<u8>,
 }
 
-/// Validate every record of `text` up to its EOF record, calling `data`
-/// with the absolute load address and payload of each data record. The
-/// payload is decoded into one stack buffer, reused for every line.
-fn for_each_data_record(text: &str, mut data: impl FnMut(u32, &[u8])) -> Result<(), ParseError> {
-    // count + address + type + 255 payload bytes + checksum.
-    let mut record = [0u8; 260];
-    let mut upper: u32 = 0;
-    let mut saw_eof = false;
-    for (line, t) in lines(text) {
-        if t.is_empty() || t.starts_with(';') {
-            continue;
-        }
-        if saw_eof {
-            break;
-        }
+impl Body {
+    /// Validate one record line `t` (line number `line`) and apply it,
+    /// decoding into `record`, one buffer reused for every line.
+    fn record(&mut self, record: &mut Record, line: usize, t: &str) -> Result<(), ParseError> {
         let Some(hex) = t.strip_prefix(':') else {
             return Err(ParseError::BadStartCode { line });
         };
@@ -279,8 +227,8 @@ fn for_each_data_record(text: &str, mut data: impl FnMut(u32, &[u8])) -> Result<
         if len < 5 || len != usize::from(record[0]) + 5 {
             return Err(ParseError::BadLength { line });
         }
-        let (body, found) = (&record[..len - 1], record[len - 1]);
-        let expected = body
+        let (sum, found) = (&record[..len - 1], record[len - 1]);
+        let expected = sum
             .iter()
             .fold(0u8, |a, &b| a.wrapping_add(b))
             .wrapping_neg();
@@ -294,13 +242,13 @@ fn for_each_data_record(text: &str, mut data: impl FnMut(u32, &[u8])) -> Result<
         let addr = (u32::from(record[1]) << 8) | u32::from(record[2]);
         let payload = &record[4..len - 1];
         match record[3] {
-            RECORD_DATA => data((upper << 16) | addr, payload),
-            RECORD_EOF => saw_eof = true,
+            RECORD_DATA => self.load((self.upper << 16) | addr, payload),
+            RECORD_EOF => self.saw_eof = true,
             RECORD_EXT_LINEAR => {
                 if payload.len() != 2 {
                     return Err(ParseError::BadLength { line });
                 }
-                upper = (u32::from(payload[0]) << 8) | u32::from(payload[1]);
+                self.upper = (u32::from(payload[0]) << 8) | u32::from(payload[1]);
             }
             // Start-address records carry no data we need.
             0x03 | 0x05 => {}
@@ -311,11 +259,49 @@ fn for_each_data_record(text: &str, mut data: impl FnMut(u32, &[u8])) -> Result<
                 })
             }
         }
+        Ok(())
     }
-    if !saw_eof {
-        return Err(ParseError::MissingEof);
+
+    /// Copy a data record's payload to absolute address `addr`, widening
+    /// the image (erased `0xff` in any gap) while the span fits any flash.
+    /// The span only grows, so once it does not fit nothing loads again.
+    fn load(&mut self, addr: u32, payload: &[u8]) {
+        let end = u64::from(addr) + payload.len() as u64;
+        let old = self.span;
+        let (lo, hi) = old.map_or((addr, end), |(lo, hi)| (lo.min(addr), hi.max(end)));
+        self.span = Some((lo, hi));
+        if hi - u64::from(lo) > u64::from(MAX_SPAN) {
+            self.image = Vec::new();
+            return;
+        }
+        if let Some((old_lo, _)) = old.filter(|&(old_lo, _)| lo < old_lo) {
+            let gap = (old_lo - lo) as usize;
+            self.image.splice(0..0, std::iter::repeat_n(0xff, gap));
+        }
+        let needed = (hi - u64::from(lo)) as usize;
+        if self.image.len() < needed {
+            self.image.resize(needed, 0xff);
+        }
+        let off = (addr - lo) as usize;
+        self.image[off..off + payload.len()].copy_from_slice(payload);
     }
-    Ok(())
+
+    /// The body: a missing EOF record, then a span too large for any flash,
+    /// are errors.
+    fn finish(self) -> Result<(u32, Vec<u8>), ParseError> {
+        if !self.saw_eof {
+            return Err(ParseError::MissingEof);
+        }
+        match self.span {
+            None => Ok((0, Vec::new())),
+            Some((lo, hi)) if hi - u64::from(lo) > u64::from(MAX_SPAN) => {
+                Err(ParseError::TooLarge {
+                    span: hi - u64::from(lo),
+                })
+            }
+            Some((lo, _)) => Ok((lo, self.image)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -419,6 +405,19 @@ mod tests {
         let (base, parsed) = parse_ihex(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(base, 0);
         assert_eq!(parsed, vec![1, 0xff, 0xff, 0xff, 2]);
+    }
+
+    #[test]
+    fn records_load_alike_in_any_order() {
+        // Descending addresses widen the image to the left.
+        let mut text = Vec::new();
+        super::push_record(&mut text, 8, 0, &[3]);
+        super::push_record(&mut text, 4, 0, &[2]);
+        super::push_record(&mut text, 2, 0, &[1, 1]);
+        super::push_record(&mut text, 0, 1, &[]);
+        let (base, parsed) = parse_ihex(std::str::from_utf8(&text).unwrap()).unwrap();
+        assert_eq!(base, 2);
+        assert_eq!(parsed, vec![1, 1, 2, 0xff, 0xff, 0xff, 3]);
     }
 
     #[test]

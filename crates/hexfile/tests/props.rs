@@ -118,7 +118,7 @@ fn mutate(text: &mut Vec<u8>, (op, a, b): (u8, u32, u32)) {
     *text = lines.join(&b'\n');
 }
 
-/// The one-pass parser the two-pass `parse_ihex` replaced: a `Vec` per
+/// The first `parse_ihex`, before it decoded into one image: a `Vec` per
 /// line and a chunk list. The reference for the differential property.
 fn reference_parse_ihex(text: &str) -> Result<(u32, Vec<u8>), ParseError> {
     let mut chunks: Vec<(u32, Vec<u8>)> = Vec::new();
@@ -422,7 +422,7 @@ proptest! {
         }
     }
 
-    /// Over the same mutations, the two-pass HEX parser and the container
+    /// Over the same mutations, the HEX parser and the container
     /// parser give exactly their references' results, errors included.
     #[test]
     fn hex_parser_agrees_with_the_one_pass_reference(
