@@ -32,9 +32,6 @@ pub struct Eeprom {
     data: u8,
     /// Set by writing EEMPE; consumed by the next EEPE write.
     master_enable: bool,
-    /// Set whenever a byte of the array changes; cleared by the snapshot
-    /// layer after it captures a keyframe.
-    dirty: bool,
     /// Total program operations (EEPROM endurance is 100k cycles; tracked
     /// like the flash-wear ledger).
     pub writes: u64,
@@ -48,7 +45,6 @@ impl Eeprom {
             addr: 0,
             data: 0,
             master_enable: false,
-            dirty: true,
             writes: 0,
         }
     }
@@ -69,7 +65,6 @@ impl Eeprom {
                         if let Some(cell) = self.bytes.get_mut(self.addr as usize) {
                             *cell = self.data;
                             self.writes += 1;
-                            self.dirty = true;
                         }
                     }
                     self.master_enable = false;
@@ -102,19 +97,7 @@ impl Eeprom {
     pub fn poke(&mut self, addr: u16, v: u8) {
         if let Some(cell) = self.bytes.get_mut(addr as usize) {
             *cell = v;
-            self.dirty = true;
         }
-    }
-
-    /// Whether the array has changed since [`Eeprom::clear_dirty`].
-    /// A fresh EEPROM starts dirty so the first keyframe captures it.
-    pub fn dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Mark the array clean; done by the snapshot layer after a keyframe.
-    pub fn clear_dirty(&mut self) {
-        self.dirty = false;
     }
 
     /// Snapshot of the array and the register state machine.
@@ -129,14 +112,12 @@ impl Eeprom {
     }
 
     /// Replace the state with a snapshot taken by [`Eeprom::state`].
-    /// The restored array is considered dirty (the next delta captures it).
     pub fn restore(&mut self, s: &EepromState) {
         self.bytes = s.bytes.clone();
         self.addr = s.addr;
         self.data = s.data;
         self.master_enable = s.master_enable;
         self.writes = s.writes;
-        self.dirty = true;
     }
 }
 

@@ -54,7 +54,7 @@ pub use blockcache::BlockStats;
 pub use eeprom::{Eeprom, EepromState};
 pub use fault::{Fault, RunExit};
 pub use forensics::CrashReport;
-pub use machine::{Machine, MachineState, SimCounters, Trace, DIRTY_PAGE_SIZE, HEARTBEAT_BIT};
+pub use machine::{Machine, MachineState, SimCounters, SizeMismatch, Trace, HEARTBEAT_BIT};
 pub use periph::{
     Heartbeat, HeartbeatState, PortB, Pwm, Uart, UartState, Watchdog, WatchdogState, PORTB_ADDR,
 };

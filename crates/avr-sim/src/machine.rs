@@ -24,9 +24,6 @@ use crate::timer::{self, Timer0, TCCR0B_ADDR, TCNT0_ADDR, TIFR0_ADDR, TIMSK0_ADD
 /// PORTB bit used as the heartbeat signal to the MAVR master processor.
 pub const HEARTBEAT_BIT: u8 = 5;
 
-/// Granularity of the dirty-page tracking used by delta snapshots.
-pub const DIRTY_PAGE_SIZE: usize = 256;
-
 const SPL_DATA: u16 = io::to_data_address(io::SPL);
 const SPH_DATA: u16 = io::to_data_address(io::SPH);
 const SREG_DATA: u16 = io::to_data_address(io::SREG);
@@ -152,13 +149,6 @@ pub struct Machine {
     /// Whether block-fused dispatch is enabled (on by default; requires
     /// predecode). See [`Machine::set_block_fusion`].
     block_fusion: bool,
-    /// Dirty bitmap over 256-byte data-space pages (bit n = page n). Pages
-    /// 0 and 1 — registers, I/O, and the first SRAM bytes — are *always*
-    /// reported dirty so the per-instruction register/SREG/SP writes need
-    /// no bookkeeping; only SRAM-bound store paths mark.
-    dirty_data: u64,
-    /// Dirty bitmap over 256-byte flash pages, 64 pages per word.
-    dirty_flash: Vec<u64>,
 }
 
 /// Snapshot of the machine's activity counters (see [`Machine::counters`]).
@@ -207,15 +197,6 @@ impl Machine {
             predecode: true,
             bcache: BlockCache::default(),
             block_fusion: true,
-            // A fresh machine is all-dirty: the first keyframe must capture
-            // everything.
-            dirty_data: !0,
-            dirty_flash: vec![
-                !0;
-                (device.flash_bytes as usize)
-                    .div_ceil(DIRTY_PAGE_SIZE)
-                    .div_ceil(64)
-            ],
         };
         m.set_sp(device.ramend());
         m
@@ -239,7 +220,6 @@ impl Machine {
     pub fn load_flash(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;
         self.flash[a..a + bytes.len()].copy_from_slice(bytes);
-        self.mark_flash_dirty(a, bytes.len());
         icache::reset_range(&mut self.icache, a, bytes.len());
         self.bcache.invalidate_range(a, bytes.len());
     }
@@ -253,7 +233,6 @@ impl Machine {
     /// Erase all of flash to `0xff`.
     pub fn erase_flash(&mut self) {
         self.flash.fill(0xff);
-        self.dirty_flash.fill(!0);
         icache::reset_all(&mut self.icache);
         self.bcache.clear(true);
     }
@@ -460,7 +439,6 @@ impl Machine {
             _ => {
                 if (addr as usize) < self.data.len() {
                     self.data[addr as usize] = v;
-                    self.mark_data_dirty(addr);
                 }
             }
         }
@@ -475,71 +453,11 @@ impl Machine {
         }
         if (addr as usize) < self.data.len() {
             self.data[addr as usize] = v;
-            self.mark_data_dirty(addr);
         }
     }
 
     fn data_in_bounds(&self, addr: u16) -> bool {
         (addr as usize) < self.data.len()
-    }
-
-    // ---- dirty-page tracking (for delta snapshots) ----
-
-    /// Mark the data page holding `addr` dirty. Pages 0–1 never need it
-    /// (they are unconditionally dirty), but marking them is harmless.
-    #[inline]
-    fn mark_data_dirty(&mut self, addr: u16) {
-        let page = addr as usize / DIRTY_PAGE_SIZE;
-        if page < 64 {
-            self.dirty_data |= 1 << page;
-        }
-    }
-
-    /// Mark every flash page overlapping `[addr, addr + len)` dirty.
-    fn mark_flash_dirty(&mut self, addr: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / DIRTY_PAGE_SIZE;
-        let last = (addr + len - 1) / DIRTY_PAGE_SIZE;
-        for p in first..=last {
-            self.dirty_flash[p / 64] |= 1 << (p % 64);
-        }
-    }
-
-    /// Indices of data-space pages touched since [`clear_dirty`], oldest
-    /// page first. The register/I/O pages (0 and 1) are always included:
-    /// they change on virtually every instruction and tracking them would
-    /// put bookkeeping on the hot path for nothing.
-    ///
-    /// [`clear_dirty`]: Machine::clear_dirty
-    pub fn dirty_data_pages(&self) -> Vec<usize> {
-        let pages = self.data.len().div_ceil(DIRTY_PAGE_SIZE);
-        (0..pages)
-            .filter(|&p| p < 2 || self.dirty_data & (1 << p) != 0)
-            .collect()
-    }
-
-    /// Indices of flash pages touched since [`clear_dirty`].
-    ///
-    /// [`clear_dirty`]: Machine::clear_dirty
-    pub fn dirty_flash_pages(&self) -> Vec<usize> {
-        let pages = self.flash.len().div_ceil(DIRTY_PAGE_SIZE);
-        (0..pages)
-            .filter(|&p| self.dirty_flash[p / 64] & (1 << (p % 64)) != 0)
-            .collect()
-    }
-
-    /// Reset the dirty tracking — done by the snapshot layer right after it
-    /// captures a keyframe, so subsequent deltas cover exactly the pages
-    /// touched since. Pages 0–1 of the data space stay permanently dirty
-    /// (see [`dirty_data_pages`]); the EEPROM flag clears too.
-    ///
-    /// [`dirty_data_pages`]: Machine::dirty_data_pages
-    pub fn clear_dirty(&mut self) {
-        self.dirty_data = 0b11;
-        self.dirty_flash.fill(0);
-        self.eeprom.clear_dirty();
     }
 
     // ---- breakpoints ----
@@ -562,7 +480,6 @@ impl Machine {
             return Err(Fault::StackOutOfBounds { sp });
         }
         self.data[sp as usize] = v;
-        self.mark_data_dirty(sp);
         self.set_sp(sp.wrapping_sub(1));
         Ok(())
     }
@@ -1725,14 +1642,9 @@ impl Machine {
     /// Enable the symbol-attributed cycle profiler over `image`'s symbol
     /// table. Forces the careful per-step loop while active (the fast
     /// event-horizon loop has no per-instruction hook), so expect the
-    /// uncached-run throughput until disabled.
+    /// uncached-run throughput until [`Machine::take_cycle_profile`].
     pub fn enable_cycle_profile(&mut self, image: &avr_core::image::FirmwareImage) {
         self.cycle_profile = Some(Box::new(CycleProfile::from_image(image)));
-    }
-
-    /// Disable cycle profiling and drop the data.
-    pub fn disable_cycle_profile(&mut self) {
-        self.cycle_profile = None;
     }
 
     /// The cycle profile, if enabled.
@@ -1793,23 +1705,25 @@ impl Machine {
     ///
     /// Every predecode entry is reset to undecoded (it memoizes the *old*
     /// flash) and refilled page by page as it is fetched, so restoring is
-    /// equally correct under `set_predecode(true)` and `(false)`. Everything becomes dirty:
-    /// the next delta snapshot after a restore is a full capture.
+    /// equally correct under `set_predecode(true)` and `(false)`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's memory sizes do not match this device.
-    pub fn restore_state(&mut self, s: &MachineState) {
-        assert_eq!(
-            s.flash.len(),
-            self.flash.len(),
-            "snapshot flash size does not match device"
-        );
-        assert_eq!(
-            s.data.len(),
-            self.data.len(),
-            "snapshot data-space size does not match device"
-        );
+    /// A snapshot whose flash, data space or EEPROM is not this device's
+    /// size (one taken on another device, or decoded from a hostile blob)
+    /// is refused with a [`SizeMismatch`] before anything is changed.
+    pub fn restore_state(&mut self, s: &MachineState) -> Result<(), SizeMismatch> {
+        for (memory, snapshot, device) in [
+            ("flash", s.flash.len(), self.flash.len()),
+            ("data space", s.data.len(), self.data.len()),
+            ("EEPROM", s.eeprom.bytes.len(), self.eeprom.bytes().len()),
+        ] {
+            if snapshot != device {
+                return Err(SizeMismatch {
+                    memory,
+                    snapshot,
+                    device,
+                });
+            }
+        }
         self.flash.copy_from_slice(&s.flash);
         self.data.copy_from_slice(&s.data);
         self.eeprom.restore(&s.eeprom);
@@ -1828,10 +1742,33 @@ impl Machine {
         self.interrupts_taken = s.interrupts_taken;
         icache::reset_all(&mut self.icache);
         self.bcache.clear(false);
-        self.dirty_data = !0;
-        self.dirty_flash.fill(!0);
+        Ok(())
     }
 }
+
+/// Why [`Machine::restore_state`] refused a snapshot: one of its memories
+/// is not the size of this device's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SizeMismatch {
+    /// The memory that differs: `"flash"`, `"data space"` or `"EEPROM"`.
+    pub memory: &'static str,
+    /// Its size in the snapshot, in bytes.
+    pub snapshot: usize,
+    /// Its size on this device, in bytes.
+    pub device: usize,
+}
+
+impl std::fmt::Display for SizeMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "snapshot {} is {} bytes, this device has {}",
+            self.memory, self.snapshot, self.device
+        )
+    }
+}
+
+impl std::error::Error for SizeMismatch {}
 
 /// SREG's index inside the head window (`0x5f`, well under 256).
 const SREG_IDX: usize = SREG_DATA as usize;

@@ -160,11 +160,6 @@ impl Uart {
         std::mem::take(&mut self.tx)
     }
 
-    /// Peek at the transmitted bytes without draining them.
-    pub fn tx_buffer(&self) -> &[u8] {
-        &self.tx
-    }
-
     /// Discard any unread receive bytes (used on reset).
     pub fn clear(&mut self) {
         self.rx.clear();

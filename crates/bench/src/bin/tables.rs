@@ -20,7 +20,6 @@
 //!   the campaign service, with peak RSS per size;
 //! - `robust`: kill-to-progress MTTR under injected disk faults, and
 //!   quarantine overhead under a seeded poison-job sweep;
-//! - `snapshot`: full vs dirty-page-delta machine snapshots;
 //! - `chaos`: a fault-rate sweep through a V1 crash fleet campaign;
 //! - `telemetry`: null-recorder simulator overhead, metrics record/merge
 //!   throughput and exposition cost;
@@ -38,7 +37,6 @@ const BENCHES: &[(&str, Bench)] = &[
     ("simulator", exp::simulator_throughput),
     ("campaignd", exp::campaignd_memory),
     ("robust", exp::robust_service),
-    ("snapshot", exp::snapshot_cost),
     ("chaos", exp::chaos_resilience),
     ("telemetry", exp::telemetry_overhead),
     ("world", exp::world_throughput),

@@ -736,17 +736,13 @@ pub fn campaignd_memory(quick: bool) -> Json {
                 Arc::new(AtomicBool::new(false)),
             )
             .expect("session");
-            let secs = secs(|| {
-                let outcome = session.run(None, None).expect("run campaign");
-                assert!(outcome.complete, "bench campaign ran to completion");
-                merge_store(&session.store).expect("merge campaign");
-            });
+            let outcome = session.run(None, None).expect("run campaign");
+            assert!(outcome.complete, "bench campaign ran to completion");
+            merge_store(&session.store).expect("merge campaign");
             let rss_mb = peak_rss_mb();
             rss.push(rss_mb);
             obj(vec![
                 ("boards", Json::num(boards as u64)),
-                ("secs", real(secs)),
-                ("jobs_per_sec", real(boards as f64 / secs)),
                 ("peak_rss_mb", real(rss_mb)),
             ])
         })
@@ -758,7 +754,6 @@ pub fn campaignd_memory(quick: bool) -> Json {
     };
     obj(vec![
         ("bench", Json::str("campaignd/sharded_benign")),
-        ("unit", Json::str("jobs_per_sec")),
         ("shard_jobs", Json::num(shard_jobs)),
         ("cycles_per_board", Json::num(warmup + flight)),
         ("rss_growth", real(rss_growth)),
@@ -989,63 +984,6 @@ pub fn chaos_resilience(quick: bool) -> Json {
             inflation(top_mttr).map_or(Json::Null, real),
         ),
         ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Measure full-vs-delta snapshot cost on a flying tiny firmware: per
-/// sample, take a keyframe, fly `10_000` more cycles, then time (a) a full
-/// snapshot — state capture plus wire encode — and (b) a dirty-page delta
-/// encode against the keyframe. Every delta is verified to reconstruct the
-/// full state bit-for-bit before its timing counts, which is why this
-/// bench keeps its own paired per-sample loop. Sizes and times are
-/// medians; `bytes_ratio` is deterministic, `time_ratio` is timed.
-/// `quick` = fewer samples, for CI smoke.
-pub fn snapshot_cost(quick: bool) -> Json {
-    use mavr_snapshot::{apply_machine_delta, encode_machine, encode_machine_delta};
-    const GAP: u64 = 10_000;
-    let samples = if quick { 5 } else { 25 };
-    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
-    let mut m = avr_sim::Machine::new_atmega2560();
-    m.load_flash(0, &fw.image.bytes);
-    m.run(300_000);
-    assert!(m.fault().is_none(), "bench firmware crashed");
-
-    let mut full_sizes = Vec::with_capacity(samples);
-    let mut delta_sizes = Vec::with_capacity(samples);
-    let mut full_times = Vec::with_capacity(samples);
-    let mut delta_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(GAP);
-        let mut full = Vec::new();
-        full_times.push(1e6 * secs(|| full = encode_machine(&m.capture_state())));
-        let mut delta = Vec::new();
-        delta_times.push(1e6 * secs(|| delta = encode_machine_delta(&m, keyframe.cycles)));
-        assert_eq!(
-            apply_machine_delta(&keyframe, &delta).expect("delta applies"),
-            m.capture_state(),
-            "delta must reconstruct the full state"
-        );
-        full_sizes.push(full.len() as f64);
-        delta_sizes.push(delta.len() as f64);
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (full_bytes, delta_bytes) = (median(full_sizes), median(delta_sizes));
-    let (full_us, delta_us) = (median(full_times), median(delta_times));
-    obj(vec![
-        ("bench", Json::str("snapshot_cost/tiny_firmware")),
-        ("samples", Json::num(samples as u64)),
-        ("delta_gap_cycles", Json::num(GAP)),
-        ("full_bytes", real(full_bytes)),
-        ("delta_bytes", real(delta_bytes)),
-        ("full_encode_us", real(full_us)),
-        ("delta_encode_us", real(delta_us)),
-        ("bytes_ratio", real(full_bytes / delta_bytes)),
-        ("time_ratio", real(full_us / delta_us)),
     ])
 }
 

@@ -311,7 +311,7 @@ pub(crate) fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
     let resumed = if let Some(snap) = args.value("--restore") {
         let blob = std::fs::read(snap).map_err(fail)?;
         let state = decode_machine(&blob).map_err(fail)?;
-        m.restore_state(&state);
+        m.restore_state(&state).map_err(fail)?;
         true
     } else {
         false
@@ -603,6 +603,21 @@ mod tests {
             std::fs::read_to_string(&resumed).unwrap(),
             "digest after save/restore differs from the uninterrupted run"
         );
+    }
+
+    #[test]
+    fn snapshot_of_the_wrong_memory_size_is_an_error_not_a_panic() {
+        let container = tmp("snap-short.mavrhex");
+        run(&s(&["build", "tiny", "-o", &container])).unwrap();
+        // A CRC-valid blob whose flash is 2 bytes, not the device's 256 KiB.
+        let mut state = avr_sim::Machine::new_atmega2560().capture_state();
+        state.flash = vec![0xff; 2];
+        let snap = tmp("snap-short.bin");
+        std::fs::write(&snap, mavr_snapshot::encode_machine(&state)).unwrap();
+        match run(&s(&["snapshot", &container, "--restore", &snap])) {
+            Err(CliError::Failed(msg)) => assert!(msg.contains("flash is 2 bytes"), "{msg}"),
+            other => panic!("expected a typed failure, got {other:?}"),
+        }
     }
 
     #[test]

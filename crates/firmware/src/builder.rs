@@ -55,15 +55,6 @@ impl BuildOptions {
         }
     }
 
-    /// Stock toolchain (relaxation + call-prologues), vulnerable.
-    pub fn vulnerable_stock() -> Self {
-        BuildOptions {
-            toolchain: ToolchainOptions::stock(),
-            vulnerable: true,
-            serial_bootloader: false,
-        }
-    }
-
     /// Stock toolchain, no vulnerability.
     pub fn safe_stock() -> Self {
         BuildOptions {

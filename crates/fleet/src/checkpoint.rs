@@ -108,8 +108,7 @@ pub(crate) fn put_outcome(w: &mut Writer, o: &BoardOutcome) {
     w.put_u64(o.reflash_retries);
     w.put_u64(o.degraded_boots);
     w.put_bool(o.bricked);
-    w.put_bool(o.time_to_recovery.is_some());
-    w.put_u64(o.time_to_recovery.unwrap_or(0));
+    w.put_optional_u64(o.time_to_recovery);
     w.put_u64(o.final_cycle);
     w.put_u64(o.heartbeats);
     w.put_u64(o.packets);
@@ -129,13 +128,17 @@ pub(crate) fn put_outcome(w: &mut Writer, o: &BoardOutcome) {
     w.put_u64(wm.alt_lost_m.to_bits());
     w.put_u32(wm.recoveries_caught);
     w.put_bool(o.failure.is_some());
-    let f = o.failure.unwrap_or(JobFailure {
-        kind: JobFailureKind::Panic,
-        attempts: 0,
-    });
+    let f = o.failure.unwrap_or(NO_FAILURE);
     w.put_u8(failure_tag(f.kind));
     w.put_u32(f.attempts);
 }
+
+/// What an outcome without a failure record carries in the failure
+/// fields; decoding any other absent record is an error.
+const NO_FAILURE: JobFailure = JobFailure {
+    kind: JobFailureKind::Panic,
+    attempts: 0,
+};
 
 fn failure_tag(kind: JobFailureKind) -> u8 {
     match kind {
@@ -165,11 +168,7 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
         reflash_retries: r.u64()?,
         degraded_boots: r.u64()?,
         bricked: r.bool()?,
-        time_to_recovery: {
-            let present = r.bool()?;
-            let v = r.u64()?;
-            present.then_some(v)
-        },
+        time_to_recovery: r.optional_u64("time to recovery")?,
         final_cycle: r.u64()?,
         heartbeats: r.u64()?,
         packets: r.u64()?,
@@ -186,32 +185,47 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
         // are always on the wire.
         world: {
             let present = r.bool()?;
+            let raw = (r.u64()?, r.u32()?, r.u64()?, r.u32()?);
             let wm = crate::report::WorldMetrics {
-                peak_alt_err_m: f64::from_bits(r.u64()?),
-                ground_impacts: r.u32()?,
-                alt_lost_m: f64::from_bits(r.u64()?),
-                recoveries_caught: r.u32()?,
+                peak_alt_err_m: f64::from_bits(raw.0),
+                ground_impacts: raw.1,
+                alt_lost_m: f64::from_bits(raw.2),
+                recoveries_caught: raw.3,
             };
-            present.then_some(wm)
+            present_or_unwritten(present, raw == (0, 0, 0, 0), wm, "world metrics")?
         },
         // v3 checkpoints predate job supervision: nothing the unsupervised
         // engine ran could have been quarantined.
         failure: if r.version() >= 4 {
             let present = r.bool()?;
-            let kind = r.u8()?;
-            let attempts = r.u32()?;
-            if present {
-                Some(JobFailure {
-                    kind: failure_from_tag(kind)?,
-                    attempts,
-                })
-            } else {
-                None
-            }
+            let f = JobFailure {
+                kind: failure_from_tag(r.u8()?)?,
+                attempts: r.u32()?,
+            };
+            present_or_unwritten(present, f == NO_FAILURE, f, "failure record")?
         } else {
             None
         },
     })
+}
+
+/// `Some(v)` when the presence flag is set; `None` when it is clear and
+/// the field holds what the encoder writes for an absent value
+/// (`unwritten`). Anything else would decode to an outcome that
+/// re-encodes to different bytes.
+fn present_or_unwritten<T: std::fmt::Debug>(
+    present: bool,
+    unwritten: bool,
+    v: T,
+    what: &str,
+) -> Result<Option<T>, SnapshotError> {
+    match (present, unwritten) {
+        (true, _) => Ok(Some(v)),
+        (false, true) => Ok(None),
+        (false, false) => Err(SnapshotError::Malformed(format!(
+            "absent {what} holds {v:?}"
+        ))),
+    }
 }
 
 #[cfg(test)]

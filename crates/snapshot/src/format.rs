@@ -20,8 +20,8 @@
 //! input; every structural problem surfaces as a [`SnapshotError`].
 
 use avr_sim::{
-    AdcState, EepromState, Fault, HeartbeatState, Machine, MachineState, Pwm, Timer0State,
-    UartState, WatchdogState, DIRTY_PAGE_SIZE, PORTB_ADDR,
+    AdcState, EepromState, Fault, HeartbeatState, MachineState, Pwm, Timer0State, UartState,
+    WatchdogState, PORTB_ADDR,
 };
 /// IEEE CRC-32, shared with the board crate's container footers.
 pub use mavr_board::ext_flash::crc32;
@@ -47,8 +47,6 @@ pub const VERSION: u16 = 4;
 pub enum Kind {
     /// A complete [`MachineState`].
     MachineFull,
-    /// A dirty-page delta against a machine keyframe.
-    MachineDelta,
     /// One shard of a sharded fleet campaign: a contiguous job range and
     /// its completed outcomes (payload owned by the `fleet` crate). The
     /// only campaign checkpoint kind.
@@ -59,7 +57,6 @@ impl Kind {
     fn to_u8(self) -> u8 {
         match self {
             Kind::MachineFull => 1,
-            Kind::MachineDelta => 2,
             Kind::ShardCheckpoint => 6,
         }
     }
@@ -67,9 +64,8 @@ impl Kind {
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::MachineFull),
-            2 => Some(Kind::MachineDelta),
-            // 3 (board), 4 (whole-campaign checkpoint) and 5 (world)
-            // are retired kinds: they decode as `BadKind`.
+            // 2 (machine delta), 3 (board), 4 (whole-campaign checkpoint)
+            // and 5 (world) are retired kinds: they decode as `BadKind`.
             6 => Some(Kind::ShardCheckpoint),
             _ => None,
         }
@@ -106,7 +102,8 @@ pub enum SnapshotError {
         /// CRC computed over the payload.
         computed: u32,
     },
-    /// Structurally invalid payload (bad enum tag, page out of range, …).
+    /// Structurally invalid payload (bad enum tag, a non-canonical
+    /// field, …).
     Malformed(String),
 }
 
@@ -181,14 +178,16 @@ impl Writer {
         self.buf.push(u8::from(v));
     }
 
+    /// Append an optional u64 as a presence bool plus the value (0 when
+    /// absent); read back by [`Reader::optional_u64`].
+    pub fn put_optional_u64(&mut self, v: Option<u64>) {
+        self.put_bool(v.is_some());
+        self.put_u64(v.unwrap_or(0));
+    }
+
     /// Append a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append raw bytes with no length prefix (fixed-size runs like pages).
-    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -337,9 +336,34 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    /// Read `n` raw bytes (fixed-size runs like pages).
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
+    /// Read a u64 element count for a run of `item_bytes`-byte items. A
+    /// count the rest of the payload cannot hold is truncation, reported
+    /// before the caller reserves room for it.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.u64()?;
+        let have = self.buf.len() - self.pos;
+        if n > (have / item_bytes) as u64 {
+            return Err(SnapshotError::Truncated {
+                needed: usize::try_from(n)
+                    .unwrap_or(usize::MAX)
+                    .saturating_mul(item_bytes),
+                have,
+            });
+        }
+        Ok(n as usize)
+    }
+
+    /// Read an optional u64 written as a presence bool plus a value that
+    /// is 0 when absent. Any other absent value is rejected: it would
+    /// decode to the same state as 0 and re-encode to different bytes.
+    pub fn optional_u64(&mut self, what: &str) -> Result<Option<u64>, SnapshotError> {
+        let present = self.bool()?;
+        let v = self.u64()?;
+        match (present, v) {
+            (true, v) => Ok(Some(v)),
+            (false, 0) => Ok(None),
+            (false, v) => Err(SnapshotError::Malformed(format!("absent {what} holds {v}"))),
+        }
     }
 
     /// Assert the payload is fully consumed (trailing garbage is an error:
@@ -404,8 +428,7 @@ fn get_fault(r: &mut Reader<'_>) -> Result<Option<Fault>, SnapshotError> {
 // ---- peripheral / core field groups ----
 
 /// The small (non-memory-array) part of a machine state: CPU registers of
-/// the core proper plus every peripheral. Shared by full and delta
-/// payloads.
+/// the core proper plus every peripheral.
 fn put_machine_core(w: &mut Writer, s: &MachineState) {
     w.put_u32(s.pc);
     w.put_u64(s.cycles);
@@ -425,8 +448,7 @@ fn put_machine_core(w: &mut Writer, s: &MachineState) {
     }
     w.put_bool(s.heartbeat.last_level);
     // Watchdog.
-    w.put_bool(s.watchdog.timeout.is_some());
-    w.put_u64(s.watchdog.timeout.unwrap_or(0));
+    w.put_optional_u64(s.watchdog.timeout);
     w.put_u64(s.watchdog.last_reset);
     // Timer0.
     w.put_u8(s.timer0.tcnt);
@@ -439,8 +461,7 @@ fn put_machine_core(w: &mut Writer, s: &MachineState) {
     w.put_u8(s.adc.control);
     w.put_u8(s.adc.adcsrb);
     w.put_u16(s.adc.data);
-    w.put_bool(s.adc.converting.is_some());
-    w.put_u64(s.adc.converting.unwrap_or(0));
+    w.put_optional_u64(s.adc.converting);
     w.put_bool(s.adc.adif);
     w.put_bool(s.adc.first);
     for ch in s.adc.channels {
@@ -465,8 +486,8 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         rx_bytes: r.u64()?,
         tx_bytes: r.u64()?,
     };
-    let n = r.u64()? as usize;
-    let mut toggles = Vec::with_capacity(n.min(1 << 20));
+    let n = r.count(8)?;
+    let mut toggles = Vec::with_capacity(n);
     for _ in 0..n {
         toggles.push(r.u64()?);
     }
@@ -474,10 +495,8 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         toggles,
         last_level: r.bool()?,
     };
-    let enabled = r.bool()?;
-    let timeout = r.u64()?;
     s.watchdog = WatchdogState {
-        timeout: enabled.then_some(timeout),
+        timeout: r.optional_u64("watchdog timeout")?,
         last_reset: r.u64()?,
     };
     s.timer0 = Timer0State {
@@ -492,8 +511,7 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         let control = r.u8()?;
         let adcsrb = r.u8()?;
         let data = r.u16()?;
-        let in_flight = r.bool()?;
-        let left = r.u64()?;
+        let converting = r.optional_u64("ADC countdown")?;
         let adif = r.bool()?;
         let first = r.bool()?;
         let mut channels = [0u16; avr_sim::adc::ADC_CHANNELS];
@@ -505,7 +523,7 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
             control,
             adcsrb,
             data,
-            converting: in_flight.then_some(left),
+            converting,
             adif,
             first,
             channels,
@@ -517,8 +535,8 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         s.portb = r.u8()?;
     }
     // v2 blobs predate the physical-world peripherals: `s` keeps its
-    // defaults (or, for deltas, the keyframe's values). The PORTB latch is
-    // backfilled from the data image by the callers that have one.
+    // defaults, and the caller backfills the PORTB latch from the data
+    // image.
     Ok(())
 }
 
@@ -600,113 +618,12 @@ pub fn decode_machine(blob: &[u8]) -> Result<MachineState, SnapshotError> {
     Ok(s)
 }
 
-/// Encode a delta snapshot: the machine's small state plus only the
-/// 256-byte data/flash pages (and the EEPROM, if touched) dirtied since
-/// the last [`Machine::clear_dirty`]. Costs pages-touched, not image-size:
-/// on a quiet machine this is a few KiB against a ~270 KiB full snapshot.
-///
-/// `base_cycles` stamps the keyframe this delta is relative to;
-/// [`apply_machine_delta`] refuses to apply it to any other keyframe.
-pub fn encode_machine_delta(m: &Machine, base_cycles: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(base_cycles);
-    put_machine_core(&mut w, &core_of(m));
-    let data_pages = m.dirty_data_pages();
-    w.put_u32(data_pages.len() as u32);
-    for p in data_pages {
-        let start = p * DIRTY_PAGE_SIZE;
-        w.put_u32(p as u32);
-        w.put_raw(&m.peek_range(start as u16, DIRTY_PAGE_SIZE));
-    }
-    let flash = m.flash();
-    let flash_pages = m.dirty_flash_pages();
-    w.put_u32(flash_pages.len() as u32);
-    for p in flash_pages {
-        let start = p * DIRTY_PAGE_SIZE;
-        w.put_u32(p as u32);
-        w.put_raw(&flash[start..start + DIRTY_PAGE_SIZE]);
-    }
-    let eeprom_dirty = m.eeprom.dirty();
-    w.put_bool(eeprom_dirty);
-    if eeprom_dirty {
-        put_eeprom(&mut w, &m.eeprom.state());
-    }
-    w.finish(Kind::MachineDelta)
-}
-
-/// The non-array part of a machine's current state, captured without
-/// cloning the memories.
-fn core_of(m: &Machine) -> MachineState {
-    MachineState {
-        flash: Vec::new(),
-        data: Vec::new(),
-        eeprom: EepromState::default(),
-        pc: m.pc(),
-        cycles: m.cycles(),
-        fault: m.fault(),
-        irq_delay: m.irq_delay_pending(),
-        uart0: m.uart0.state(),
-        heartbeat: m.heartbeat.state(),
-        watchdog: m.watchdog.state(),
-        timer0: m.timer0.state(),
-        adc: m.adc.state(),
-        pwm: m.pwm,
-        portb: m.portb.value,
-        insns_retired: m.insns_retired,
-        interrupts_taken: m.interrupts_taken,
-    }
-}
-
-/// Reconstruct a full machine state from `keyframe` plus a
-/// [`Kind::MachineDelta`] blob captured after it.
-pub fn apply_machine_delta(
-    keyframe: &MachineState,
-    blob: &[u8],
-) -> Result<MachineState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::MachineDelta)?;
-    let base = r.u64()?;
-    if base != keyframe.cycles {
-        return Err(SnapshotError::Malformed(format!(
-            "delta is relative to cycle {base}, keyframe is at {}",
-            keyframe.cycles
-        )));
-    }
-    let mut s = keyframe.clone();
-    get_machine_core(&mut r, &mut s)?;
-    for (what, arr) in [("data", &mut s.data), ("flash", &mut s.flash)] {
-        let n = r.u32()? as usize;
-        for _ in 0..n {
-            let p = r.u32()? as usize;
-            let start = p * DIRTY_PAGE_SIZE;
-            let page = r.raw(DIRTY_PAGE_SIZE)?;
-            let end = start + DIRTY_PAGE_SIZE;
-            if end > arr.len() {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} page {p} past end ({end} > {})",
-                    arr.len()
-                )));
-            }
-            arr[start..end].copy_from_slice(page);
-        }
-    }
-    if r.bool()? {
-        s.eeprom = get_eeprom(&mut r)?;
-    }
-    if r.version() < 3 {
-        // As in full decodes: the v2 latch of record is the data image.
-        if let Some(&v) = s.data.get(usize::from(PORTB_ADDR)) {
-            s.portb = v;
-        }
-    }
-    r.done()?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use avr_core::encode::encode_to_bytes;
     use avr_core::{Insn, Reg};
+    use avr_sim::Machine;
 
     fn busy_machine() -> Machine {
         let mut m = Machine::new_atmega2560();
@@ -781,9 +698,9 @@ mod tests {
             decode_machine(&bad),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
-        // Unknown kind bytes, including the retired board (3), campaign
-        // checkpoint (4) and world (5) kinds.
-        for kind in [3, 4, 5, 9] {
+        // Unknown kind bytes, including the retired machine delta (2),
+        // board (3), campaign checkpoint (4) and world (5) kinds.
+        for kind in [2, 3, 4, 5, 9] {
             let mut bad = blob.clone();
             bad[10] = kind;
             assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(kind)));
@@ -797,36 +714,29 @@ mod tests {
     }
 
     #[test]
-    fn delta_reconstructs_full_state_and_is_smaller() {
-        let mut m = busy_machine();
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(20_000);
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        let full = encode_machine(&m.capture_state());
-        let rebuilt = apply_machine_delta(&keyframe, &delta).unwrap();
-        assert_eq!(rebuilt, m.capture_state());
-        assert!(
-            delta.len() * 10 < full.len(),
-            "delta ({}) should be far smaller than full ({})",
-            delta.len(),
-            full.len()
+    fn a_count_the_payload_cannot_hold_is_truncation() {
+        // Every field up to the heartbeat toggle count, then a count of
+        // 2^40 toggles with nothing behind it.
+        let mut w = Writer::new();
+        w.put_u32(0);
+        w.put_u64(0);
+        put_fault(&mut w, None);
+        w.put_bool(false);
+        w.put_u64(0);
+        w.put_u64(0);
+        w.put_bytes(&[]);
+        w.put_bytes(&[]);
+        w.put_u64(0);
+        w.put_u64(0);
+        w.put_u64(1 << 40);
+        // The whole run is reported missing before a toggle is read.
+        assert_eq!(
+            decode_machine(&w.finish(Kind::MachineFull)),
+            Err(SnapshotError::Truncated {
+                needed: 8 << 40,
+                have: 0
+            })
         );
-    }
-
-    #[test]
-    fn delta_refuses_wrong_keyframe() {
-        let mut m = busy_machine();
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(10_000);
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        let mut other = keyframe.clone();
-        other.cycles += 1;
-        assert!(matches!(
-            apply_machine_delta(&other, &delta),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]
@@ -834,7 +744,7 @@ mod tests {
         let mut a = busy_machine();
         let blob = encode_machine(&a.capture_state());
         let mut b = Machine::new_atmega2560();
-        b.restore_state(&decode_machine(&blob).unwrap());
+        b.restore_state(&decode_machine(&blob).unwrap()).unwrap();
         a.run(50_000);
         b.run(50_000);
         assert_eq!(a.capture_state(), b.capture_state());

@@ -8,9 +8,9 @@
 //! questions have exact answers; this crate makes them cheap:
 //!
 //! * [`format`] — a versioned, CRC-guarded binary format for full machine
-//!   state, dirty-page deltas against a keyframe, and fleet campaign shard
-//!   checkpoints. Corruption is detected before a broken
-//!   state is ever loaded.
+//!   state and fleet campaign shard checkpoints. Corruption is detected
+//!   before a broken state is ever loaded, and a payload that decodes
+//!   re-encodes to the same bytes.
 //! * [`replay`] — [`Timeline`] keyframing over a run (`rewind_to` any
 //!   cycle), and [`bisect_divergence`]: given a stock and a
 //!   MAVR-randomized execution of the same attack, find the exact first
@@ -18,10 +18,9 @@
 //!   code-reuse payload whose hard-coded addresses no longer match the
 //!   shuffled layout.
 //!
-//! Delta snapshots lean on the simulator's dirty-page tracking
-//! ([`avr_sim::Machine::dirty_data_pages`]): after a keyframe, a snapshot
-//! costs only the 256-byte pages actually touched, so periodic keyframing
-//! of a ~270 KiB machine runs at a few KiB per interval.
+//! Every keyframe is a full [`avr_sim::MachineState`] (≈ 270 KiB for an
+//! ATmega2560, nearly all of it flash), so a timeline costs one full state
+//! per interval; choose the interval for the run length being kept.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@ pub mod format;
 pub mod replay;
 
 pub use format::{
-    apply_machine_delta, crc32, decode_machine, encode_machine, encode_machine_delta, Kind, Reader,
-    SnapshotError, Writer, MAGIC, VERSION,
+    crc32, decode_machine, encode_machine, Kind, Reader, SnapshotError, Writer, MAGIC, VERSION,
 };
 pub use replay::{bisect_divergence, Divergence, Timeline};

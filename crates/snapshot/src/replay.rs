@@ -18,7 +18,6 @@
 //! divergent cycle is where the code-reuse payload stopped matching
 //! reality.
 
-use crate::format;
 use avr_core::image::FirmwareImage;
 use avr_sim::{Machine, MachineState, RunExit};
 use telemetry::{kinds, Counters, Value};
@@ -106,9 +105,14 @@ impl Timeline {
     /// `cycle` (instruction-aligned, so it may stop just past it). Returns
     /// `None` when `cycle` predates the first keyframe; otherwise the
     /// machine's cycle counter after positioning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not the device the timeline was recorded on.
     pub fn rewind_to(&mut self, m: &mut Machine, cycle: u64) -> Option<u64> {
         let kf = self.keyframes.iter().rev().find(|k| k.cycles <= cycle)?;
-        m.restore_state(kf);
+        m.restore_state(kf)
+            .expect("keyframe recorded on this device");
         m.telemetry
             .emit(kinds::SNAPSHOT_RESTORED, Some(kf.cycles), || {
                 vec![("target_cycle", Value::U64(cycle))]
@@ -120,12 +124,6 @@ impl Timeline {
             }
         }
         Some(m.cycles())
-    }
-
-    /// Serialize the timeline's last keyframe as a snapshot blob — the
-    /// "pre-crash snapshot" a [`avr_sim::CrashReport`] points at.
-    pub fn last_keyframe_blob(&self) -> Option<Vec<u8>> {
-        self.keyframes.last().map(format::encode_machine)
     }
 }
 
@@ -228,8 +226,12 @@ pub fn bisect_divergence(
         });
     }
     // Fine: rewind both to the last aligned keyframe and lockstep.
-    stock_m.restore_state(&stock.keyframes[first_bad - 1]);
-    rand_m.restore_state(&randomized.keyframes[first_bad - 1]);
+    stock_m
+        .restore_state(&stock.keyframes[first_bad - 1])
+        .expect("keyframe recorded on this device");
+    rand_m
+        .restore_state(&randomized.keyframes[first_bad - 1])
+        .expect("keyframe recorded on this device");
     stock.counters.add(kinds::SNAPSHOT_RESTORED, 1);
     randomized.counters.add(kinds::SNAPSHOT_RESTORED, 1);
     let budget = stock.keyframes[first_bad - 1]

@@ -9,26 +9,24 @@
 //! event fields are built inside a closure that never runs. This keeps the
 //! simulator's hot loop unaffected by instrumentation that is off.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
 //! * [`NullRecorder`] — counts events and drops them (for overhead tests),
 //! * [`RingRecorder`] — a bounded in-memory ring, the post-mortem "flight
-//!   recorder" proper,
-//! * [`JsonlRecorder`] — streams each event as one JSON line to any
-//!   `io::Write`, for offline analysis (`mavr-cli trace --out events.jsonl`).
+//!   recorder" proper; [`RingRecorder::to_jsonl`] renders it as one JSON
+//!   line per event for offline analysis (`mavr-cli trace --out
+//!   events.jsonl`).
 //!
-//! [`Span`] measures wall-clock phases (container read, randomize, program)
-//! and emits a closing event with the elapsed microseconds.
+//! Events carry simulated cycles, never wall-clock time: the same run
+//! emits the same stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Well-known event kinds shared across crates.
 ///
@@ -308,35 +306,6 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// Streams each event as one JSON line into a writer.
-pub struct JsonlRecorder<W: Write> {
-    out: W,
-    seen: u64,
-}
-
-impl<W: Write> JsonlRecorder<W> {
-    /// Wrap a writer.
-    pub fn new(out: W) -> Self {
-        JsonlRecorder { out, seen: 0 }
-    }
-
-    /// Unwrap the writer (e.g. to flush or inspect a buffer).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> Recorder for JsonlRecorder<W> {
-    fn record(&mut self, event: Event) {
-        // A broken pipe must not crash the simulated board.
-        let _ = writeln!(self.out, "{}", event.to_json());
-        self.seen += 1;
-    }
-    fn events_emitted(&self) -> u64 {
-        self.seen
-    }
-}
-
 /// A named set of monotonic counters (for subsystems without natural struct
 /// fields to count in).
 #[derive(Debug, Clone, Default)]
@@ -476,61 +445,6 @@ impl Telemetry {
         let mut rec = bus.lock();
         rec.as_any_mut().downcast_mut::<R>().map(f)
     }
-
-    /// Start a wall-clock span; the returned guard emits `kind` with an
-    /// `elapsed_us` field when finished (or dropped).
-    pub fn span(&self, kind: &'static str) -> Span {
-        Span {
-            telemetry: self.clone(),
-            kind,
-            started: Instant::now(),
-            extra: Vec::new(),
-            done: false,
-        }
-    }
-}
-
-/// Span-style phase timer: emits one event with `elapsed_us` on [`Span::end`]
-/// or on drop.
-pub struct Span {
-    telemetry: Telemetry,
-    kind: &'static str,
-    started: Instant,
-    extra: Vec<(&'static str, Value)>,
-    done: bool,
-}
-
-impl Span {
-    /// Attach an extra field to the closing event.
-    pub fn field(mut self, name: &'static str, value: impl Into<Value>) -> Self {
-        self.extra.push((name, value.into()));
-        self
-    }
-
-    /// Finish now and emit the closing event.
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let elapsed_us = self.started.elapsed().as_micros() as u64;
-        let extra = std::mem::take(&mut self.extra);
-        self.telemetry.emit(self.kind, None, move || {
-            let mut f = vec![("elapsed_us", Value::U64(elapsed_us))];
-            f.extend(extra);
-            f
-        });
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.finish();
-    }
 }
 
 #[cfg(test)]
@@ -564,6 +478,10 @@ mod tests {
             assert_eq!(r.histogram()["tick"], 3);
         })
         .unwrap();
+        assert!(
+            t.with_recorder::<NullRecorder, _>(|_| ()).is_none(),
+            "a downcast to another recorder type finds nothing"
+        );
     }
 
     #[test]
@@ -582,29 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_recorder_writes_one_line_per_event() {
-        let t = Telemetry::new(JsonlRecorder::new(Vec::<u8>::new()));
-        t.emit("sim.fault", Some(123), || {
-            vec![
-                ("fault", Value::Str("invalid \"opcode\"".into())),
-                ("pc", Value::U64(0x1a2c)),
-                ("clean", Value::Bool(false)),
-                ("ms", Value::F64(1.5)),
-            ]
-        });
-        let text = t
-            .with_recorder::<JsonlRecorder<Vec<u8>>, _>(|r| {
-                String::from_utf8(r.out.clone()).unwrap()
-            })
-            .unwrap();
-        assert_eq!(
-            text,
-            "{\"seq\":0,\"kind\":\"sim.fault\",\"cycle\":123,\
-             \"fault\":\"invalid \\\"opcode\\\"\",\"pc\":6700,\"clean\":false,\"ms\":1.5}\n"
-        );
-    }
-
-    #[test]
     fn event_field_lookup_and_json_escaping() {
         let e = Event {
             seq: 1,
@@ -616,24 +511,6 @@ mod tests {
         assert!(e.field("missing").is_none());
         assert!(e.to_json().contains("\"a\\nb\\\\c\""));
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn span_emits_elapsed() {
-        let t = Telemetry::new(RingRecorder::new(4));
-        t.span("phase.randomize").field("bytes", 100u64).end();
-        {
-            let _s = t.span("phase.drop");
-        } // drop also emits
-        t.with_recorder::<RingRecorder, _>(|r| {
-            let evs: Vec<_> = r.events().collect();
-            assert_eq!(evs.len(), 2);
-            assert_eq!(evs[0].kind, "phase.randomize");
-            assert!(evs[0].field("elapsed_us").is_some());
-            assert_eq!(evs[0].field("bytes"), Some(&Value::U64(100)));
-            assert_eq!(evs[1].kind, "phase.drop");
-        })
-        .unwrap();
     }
 
     #[test]
